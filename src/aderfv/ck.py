@@ -13,9 +13,11 @@ procedure into a recursion over two families of m-by-m matrices:
 
 The time derivatives themselves follow the recursion
 ``dtQ[k] = M_k + B dtQ[k-1]`` with ``M_k`` assembled by :func:`m_vector` and
-the base case ``dtQ[1] = -A dxQ + S``.  All functions broadcast over leading
-array axes, so a "node" may equally be a single state or a whole grid of
-cells times space-time nodes.
+the base case ``dtQ[1] = -A dxQ + S``.  :func:`taylor_terms` evaluates it,
+together with the source-free parts ``E_k = M_k + B E_{k-1}`` that the
+implicit predictor needs; it is the only form of the functional.  All
+functions broadcast over leading array axes, so a "node" may equally be a
+single state or a whole grid of cells times space-time nodes.
 """
 from __future__ import annotations
 
@@ -61,7 +63,7 @@ class NodeDerivativeStack:
     Spatial derivative dicts are keyed by order (1..M for Q, 1..M-1 for A,
     1..M-2 for B); ``dtB`` holds time derivatives of B up to order M-2.
     All arrays are physically scaled.  ``dtQ`` is filled progressively by
-    :func:`time_derivatives` in increasing order.
+    :func:`taylor_terms` in increasing order.
     """
 
     Q: np.ndarray
@@ -167,17 +169,6 @@ def m_vector(k: int, stack: NodeDerivativeStack, C: CKCoefficients) -> np.ndarra
     return out
 
 
-def time_derivatives(stack: NodeDerivativeStack, C: CKCoefficients,
-                     S_value: np.ndarray, M: int) -> list:
-    """Fill stack.dtQ with dtQ[1..M] and return them as a list.
-
-    ``dtQ[1] = -A dxQ + S`` and ``dtQ[k] = M_k + B dtQ[k-1]``, computed in
-    increasing k so that M_k can read the lower-order time derivatives.
-    """
-    terms = taylor_terms(stack, C, S_value, M)
-    return [terms.dtQ[k] for k in range(1, M + 1)]
-
-
 @dataclass
 class TaylorTerms:
     """Time derivatives and their source-free (explicit) parts per order."""
@@ -187,21 +178,18 @@ class TaylorTerms:
 
 
 def taylor_terms(stack: NodeDerivativeStack, C: CKCoefficients,
-                 S_value: np.ndarray, M: int, form: str = "recursive") -> TaylorTerms:
+                 S_value: np.ndarray, M: int) -> TaylorTerms:
     """Time derivatives split as dtQ[k] = explicit[k] + B**(k-1) S.
 
-    ``form="recursive"`` accumulates the explicit parts with the same
-    recursion as dtQ (``E_k = M_k + B E_{k-1}``, so
-    ``E_k = sum_r B**(k-r) M_r``); ``form="literal"`` instead uses the plain
-    sum ``E_k = sum_{r=2..k} M_r`` (with E_1 = M_1), kept selectable for
-    comparison.  dtQ itself always follows the recursion.
+    ``dtQ[1] = M_1 + S`` and ``dtQ[k] = M_k + B dtQ[k-1]``, computed in
+    increasing k so that M_k can read the lower-order time derivatives
+    (stored in ``stack.dtQ`` as they are produced).  The explicit parts
+    follow the same recursion, ``E_k = M_k + B E_{k-1}``, so
+    ``E_k = sum_r B**(k-r) M_r``.
     """
-    if form not in ("recursive", "literal"):
-        raise ValueError(f"unknown functional form {form!r}")
     stack.dtQ.clear()
     dtq: dict = {}
     expl: dict = {}
-    m_sum = None
     for k in range(1, M + 1):
         mk = m_vector(k, stack, C)
         if k == 1:
@@ -209,18 +197,10 @@ def taylor_terms(stack: NodeDerivativeStack, C: CKCoefficients,
             expl[1] = mk
         elif stack.b_is_zero:
             dtq[k] = mk
-            if form == "recursive":
-                expl[k] = mk
-            else:
-                m_sum = mk if m_sum is None else m_sum + mk
-                expl[k] = m_sum
+            expl[k] = mk
         else:
             dtq[k] = mk + _matvec(stack.B, dtq[k - 1])
-            if form == "recursive":
-                expl[k] = mk + _matvec(stack.B, expl[k - 1])
-            else:
-                m_sum = mk if m_sum is None else m_sum + mk
-                expl[k] = m_sum
+            expl[k] = mk + _matvec(stack.B, expl[k - 1])
         stack.dtQ[k] = dtq[k]
     return TaylorTerms(dtQ=dtq, explicit=expl)
 

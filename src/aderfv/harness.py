@@ -10,6 +10,7 @@ log2 ratios of errors between consecutive meshes of ratio 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -182,8 +183,7 @@ def make_case(name: str, beta: Optional[float] = None,
 
 def build_config(case: PresetCase, order: int, cells: Optional[int] = None,
                  cfl: Optional[float] = None, t_out: Optional[float] = None,
-                 boundary: Optional[str] = None, verbose: bool = False,
-                 **kwargs) -> RunConfig:
+                 boundary: Optional[str] = None, **kwargs) -> RunConfig:
     """RunConfig for a preset case at a given scheme order (2..5)."""
     return RunConfig(
         system=case.system,
@@ -195,7 +195,6 @@ def build_config(case: PresetCase, order: int, cells: Optional[int] = None,
         t_out=case.t_out if t_out is None else t_out,
         cfl=case.cfl if cfl is None else cfl,
         boundary=case.boundary if boundary is None else boundary,
-        verbose=verbose,
         **kwargs,
     )
 
@@ -319,9 +318,7 @@ def run_preset(name: str, overrides: Optional[dict] = None,
 
     config = build_config(case, order=2 if order is None else order,
                           cells=cells, cfl=cfl, t_out=t_out,
-                          boundary=boundary, verbose=verbose)
-    import sys
-
+                          boundary=boundary)
     result = run(config, log_stream=sys.stderr if verbose else None)
     sol = out / "solution.dat"
     _write_profile(sol, result.field.cell_centers(), result.field.averages)

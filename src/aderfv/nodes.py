@@ -128,31 +128,31 @@ def _apply(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
     return np.swapaxes(out, axis, -1)
 
 
-def space_derivative(values: np.ndarray, l: int, grid: NodeGrid, axis: int = 0,
-                     scaled: bool = True) -> np.ndarray:
+def space_derivative(values: np.ndarray, l: int, grid: NodeGrid,
+                     axis: int = 0) -> np.ndarray:
     """l-th spatial derivative of nodal samples, evaluated at every node.
 
-    ``values`` carries the n_S node samples along ``axis``.  With
-    ``scaled=True`` (default) the physical factor dx**-l is applied;
-    otherwise the derivative is in reference coordinates.  Orders beyond the
-    interpolation degree M are exactly zero.
+    ``values`` carries the n_S node samples along ``axis``; the physical
+    factor dx**-l is applied.  Orders beyond the interpolation degree M are
+    exactly zero.
     """
     if l < 0:
         raise ValueError("derivative order must be non-negative")
     if l > grid.M:
         return np.zeros_like(values)
     out = _apply(grid.space_diff[l], values, axis)
-    if scaled and l > 0:
+    if l > 0:
         out = out / grid.dx**l
     return out
 
 
-def time_derivative(values: np.ndarray, l: int, grid: NodeGrid, axis: int = 0,
-                    scaled: bool = True) -> np.ndarray:
+def time_derivative(values: np.ndarray, l: int, grid: NodeGrid,
+                    axis: int = 0) -> np.ndarray:
     """l-th temporal derivative of nodal samples at every time node.
 
-    Requires M >= 2 for l >= 1 (a single time node carries no derivative
-    information); orders beyond the interpolation degree n_T - 1 are zero.
+    The physical factor dt**-l is applied.  Requires M >= 2 for l >= 1 (a
+    single time node carries no derivative information); orders beyond the
+    interpolation degree n_T - 1 are zero.
     """
     if l < 0:
         raise ValueError("derivative order must be non-negative")
@@ -162,10 +162,7 @@ def time_derivative(values: np.ndarray, l: int, grid: NodeGrid, axis: int = 0,
         raise ValueError("time derivatives need at least two time nodes (M >= 2)")
     if l >= grid.n_time:
         return np.zeros_like(values)
-    out = _apply(grid.time_diff[l], values, axis)
-    if scaled:
-        out = out / grid.dt**l
-    return out
+    return _apply(grid.time_diff[l], values, axis) / grid.dt**l
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,28 +39,14 @@ class PredictorConfig:
     """Iteration controls for the nested Picard/Newton solve.
 
     The sweep budget is always M; cells whose residual drops below
-    ``residual_tol`` stop updating early (no accuracy change).  With
-    ``monitor=True`` the residual after the final sweep is also computed so
-    the recorded sequence covers every iterate.
+    ``residual_tol`` stop updating early (no accuracy change).  The residual
+    of every sweep's incoming iterate is always recorded; ``monitor=True``
+    also evaluates the residual after the final sweep (one more stack and
+    C-matrix build), so the recorded sequence covers every iterate.
     """
 
-    functional_form: str = "recursive"
     residual_tol: float = 1.0e-12
     monitor: bool = False
-
-
-@dataclass
-class SpaceTimeNodeSet:
-    """Predictor values and workspace for a batch of cells."""
-
-    Q: np.ndarray                 # (n_cells, n_S, n_T, m)
-    W_nodal: np.ndarray           # (n_cells, n_S, m)
-    dxW: np.ndarray               # physically scaled reconstruction gradient
-    grid: NodeGrid
-    stack: NodeDerivativeStack | None = None
-    C: CKCoefficients | None = None
-    sweeps: int = 0
-    residuals: list = field(default_factory=list)
 
 
 def initial_guess(system: HyperbolicSystem, W_nodal: np.ndarray,
@@ -136,8 +122,7 @@ def populate_stacks(system: HyperbolicSystem, Q: np.ndarray,
 
 
 def residual_and_jacobian(stack: NodeDerivativeStack, C: CKCoefficients,
-                          W_nodal: np.ndarray, tau_phys: np.ndarray, M: int,
-                          form: str = "recursive"):
+                          W_nodal: np.ndarray, tau_phys: np.ndarray, M: int):
     """Algebraic system H and its Jacobian J at the current iterate.
 
     H(Y) = Y - W + sum_k c_k [explicit part of G(k)] + sum_k c_k B**(k-1) S(Y)
@@ -145,7 +130,7 @@ def residual_and_jacobian(stack: NodeDerivativeStack, C: CKCoefficients,
     J = I + sum_k c_k B**(k-1) B(Y).
     """
     m = W_nodal.shape[-1]
-    terms = taylor_terms(stack, C, stack.S, M, form=form)
+    terms = taylor_terms(stack, C, stack.S, M)
     h = stack.Q - W_nodal[:, :, None, :]
     source_free = not stack.B.any() and not stack.S.any()
     b_pow = None if source_free else np.broadcast_to(np.eye(m), stack.B.shape)
@@ -167,16 +152,14 @@ def residual_and_jacobian(stack: NodeDerivativeStack, C: CKCoefficients,
 
 
 def newton_sweep(stack: NodeDerivativeStack, C: CKCoefficients,
-                 W_nodal: np.ndarray, grid: NodeGrid,
-                 cfg: PredictorConfig):
+                 W_nodal: np.ndarray, grid: NodeGrid):
     """One Newton step Q <- Q - delta, J delta = H, at every node.
 
     Returns the updated nodal values together with the per-cell max-norm of
     H at the incoming iterate.
     """
     tau_phys = grid.tau * grid.dt
-    h, jac = residual_and_jacobian(stack, C, W_nodal, tau_phys, grid.M,
-                                   form=cfg.functional_form)
+    h, jac = residual_and_jacobian(stack, C, W_nodal, tau_phys, grid.M)
     cell_res = np.max(np.abs(h), axis=(1, 2, 3))
     if jac is None:   # source-free: the system is affine with unit Jacobian
         return stack.Q - h, cell_res
@@ -193,36 +176,34 @@ def newton_sweep(stack: NodeDerivativeStack, C: CKCoefficients,
 
 def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
                     dxW: np.ndarray, grid: NodeGrid,
-                    cfg: PredictorConfig | None = None) -> SpaceTimeNodeSet:
+                    cfg: PredictorConfig | None = None
+                    ) -> tuple[np.ndarray, list]:
     """Run the nested Picard iteration for a batch of cells.
 
     M sweeps of {populate stacks, build C matrices, Newton step at every
     node}; cells whose residual already meets the tolerance keep their
     values (the early exit is per cell, so results do not depend on how
-    cells are batched).
+    cells are batched).  Returns the nodal values Q, shape
+    (n_cells, n_S, n_T, m), and the max-norm residual of each sweep's
+    incoming iterate (plus that of the final iterate under ``monitor``).
     """
     cfg = cfg or PredictorConfig()
     M = grid.M
     Q = initial_guess(system, W_nodal, dxW, grid)
-    out = SpaceTimeNodeSet(Q=Q, W_nodal=W_nodal, dxW=dxW, grid=grid)
+    residuals = []
     active = np.ones(Q.shape[0], dtype=bool)
     for _ in range(M):
         if not active.any():
             break
         stack = populate_stacks(system, Q, grid)
         C = matrix_c(stack, M, grid, time_axis=_TIME_AXIS)
-        q_new, cell_res = newton_sweep(stack, C, W_nodal, grid, cfg)
-        out.residuals.append(float(cell_res.max()))
+        q_new, cell_res = newton_sweep(stack, C, W_nodal, grid)
+        residuals.append(float(cell_res.max()))
         active = active & (cell_res > cfg.residual_tol)
         Q = np.where(active[:, None, None, None], q_new, Q)
-        out.stack, out.C = stack, C
-        out.sweeps += 1
-    out.Q = Q
     if cfg.monitor:
         stack = populate_stacks(system, Q, grid)
         C = matrix_c(stack, M, grid, time_axis=_TIME_AXIS)
-        h, _ = residual_and_jacobian(stack, C, W_nodal, grid.tau * grid.dt,
-                                     M, form=cfg.functional_form)
-        out.residuals.append(float(np.max(np.abs(h))))
-        out.stack, out.C = stack, C
-    return out
+        h, _ = residual_and_jacobian(stack, C, W_nodal, grid.tau * grid.dt, M)
+        residuals.append(float(np.max(np.abs(h))))
+    return Q, residuals

@@ -58,7 +58,6 @@ class RunConfig:
     weno: WenoConfig = field(default_factory=WenoConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     n_threads: Optional[int] = None
-    verbose: bool = False
     max_steps: int = 2_000_000
 
     def __post_init__(self):
@@ -227,9 +226,8 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
     n_threads = config.thread_count()
     n_cells = W_nodal.shape[0]
     if n_threads <= 1 or n_cells < 2 * n_threads:
-        node_set = predictor_solve(config.system, W_nodal, dxW, grid,
-                                   config.predictor)
-        return node_set.Q, node_set.residuals
+        return predictor_solve(config.system, W_nodal, dxW, grid,
+                               config.predictor)
 
     bounds = np.linspace(0, n_cells, n_threads + 1, dtype=int)
     blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
@@ -237,10 +235,8 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
     residual_lists = [None] * len(blocks)
 
     def work(idx, lo, hi):
-        ns = predictor_solve(config.system, W_nodal[lo:hi], dxW[lo:hi], grid,
-                             config.predictor)
-        q_out[lo:hi] = ns.Q
-        residual_lists[idx] = ns.residuals
+        q_out[lo:hi], residual_lists[idx] = predictor_solve(
+            config.system, W_nodal[lo:hi], dxW[lo:hi], grid, config.predictor)
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         futures = [pool.submit(work, i, lo, hi)
@@ -319,14 +315,17 @@ class RunResult:
     t_final: float
     n_steps: int
     seconds: float
+    # one list per step: the max residual of each predictor sweep, merged
+    # over thread blocks (largest per sweep)
     predictor_residuals: list = field(default_factory=list)
 
 
 def run(config: RunConfig, log_stream: Optional[TextIO] = None) -> RunResult:
     """March from the projected initial condition to t_out.
 
-    Emits per-step lines ``t dt lambda_abs`` on ``log_stream`` when the
-    config is verbose; the final step is clipped to land exactly on t_out.
+    Writes a line ``t dt lambda_abs`` per step to ``log_stream`` when one is
+    given; the final step is clipped to land exactly on t_out.  The result
+    keeps each step's predictor residual trace.
     """
     field_now = project_initial(config.initial, config.n_cells, config.x_left,
                                 config.dx, config.boundary)
@@ -338,7 +337,7 @@ def run(config: RunConfig, log_stream: Optional[TextIO] = None) -> RunResult:
     while config.t_out - t > tol:
         dt_cfl = cfl_timestep(field_now, config.system, config.cfl)
         dt = min(dt_cfl, config.t_out - t)
-        if config.verbose and log_stream is not None:
+        if log_stream is not None:
             lam = config.cfl * field_now.dx / dt_cfl
             log_stream.write(f"{t:.8e} {dt:.8e} {lam:.8e}\n")
         field_now, residuals = step(field_now, config, dt)
@@ -347,8 +346,7 @@ def run(config: RunConfig, log_stream: Optional[TextIO] = None) -> RunResult:
             raise SchemeError(
                 f"non-finite averages after step {n_steps + 1} at "
                 f"(cell, component) {bad.tolist()}")
-        if config.predictor.monitor:
-            residual_log.append(residuals)
+        residual_log.append(residuals)
         t += dt
         n_steps += 1
         if n_steps > config.max_steps:

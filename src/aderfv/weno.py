@@ -12,7 +12,7 @@ Reconstruction is component-wise and conservative by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -143,40 +143,23 @@ def reconstruct_padded(avg_padded: np.ndarray, M: int,
     return num / den[:, None, :]
 
 
-@dataclass(frozen=True)
-class ReconstructionPoly:
-    """Degree-M polynomial sum_k c_k xi^k for one cell, xi in [-1/2, 1/2]."""
-
-    degree: int
-    coefficients: np.ndarray  # (M+1, m)
-
-    def evaluate(self, xi, l: int = 0) -> np.ndarray:
-        return evaluate(self, xi, l)
-
-    def cell_mean(self) -> np.ndarray:
-        k = np.arange(self.degree + 1)
-        moments = (0.5 ** (k + 1) - (-0.5) ** (k + 1)) / (k + 1)
-        return moments @ self.coefficients
-
-
 class ReconstructionSet:
-    """Sequence of per-cell reconstruction polynomials (batched storage)."""
+    """Per-cell reconstruction polynomials sum_k c_k xi^k, xi in [-1/2, 1/2]."""
 
     def __init__(self, M: int, coeffs: np.ndarray):
         self.M = M
         self.coeffs = coeffs  # (N, M+1, m)
 
-    def __len__(self) -> int:
-        return self.coeffs.shape[0]
-
-    def __getitem__(self, i: int) -> ReconstructionPoly:
-        return ReconstructionPoly(degree=self.M, coefficients=self.coeffs[i])
-
     def evaluate(self, xi, l: int = 0) -> np.ndarray:
         """Values (or l-th xi-derivatives) at reference point(s) xi.
 
         Scalar xi gives (N, m); a 1-D array of G points gives (N, G, m).
+        Derivatives are in reference coordinates (physical ones carry the
+        caller-applied factor dx**-l); orders beyond the degree are exactly
+        zero.
         """
+        if l < 0:
+            raise ValueError("derivative order must be non-negative")
         basis = _basis(np.atleast_1d(np.asarray(xi, dtype=float)), self.M, l)
         out = np.einsum("gk,Nkm->Ngm", basis, self.coeffs)
         return out[:, 0] if np.ndim(xi) == 0 else out
@@ -187,22 +170,6 @@ def _basis(xi: np.ndarray, degree: int, l: int) -> np.ndarray:
     for k in range(l, degree + 1):
         basis[:, k] = math.perm(k, l) * xi ** (k - l)
     return basis
-
-
-def evaluate(poly: ReconstructionPoly, xi, l: int = 0) -> np.ndarray:
-    """l-th xi-derivative of the polynomial at xi (reference scale).
-
-    Physical derivatives carry the caller-applied factor dx**-l; orders
-    beyond the degree are exactly zero.
-    """
-    if l < 0:
-        raise ValueError("derivative order must be non-negative")
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if l > poly.degree:
-        out = np.zeros((len(xi_arr), poly.coefficients.shape[1]))
-    else:
-        out = _basis(xi_arr, poly.degree, l) @ poly.coefficients
-    return out[0] if np.ndim(xi) == 0 else out
 
 
 def reconstruct(field: CellField, M: int,

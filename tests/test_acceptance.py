@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from aderfv.ck import binom, leibniz_expand, matrix_c, pascal_coeffs, \
-    time_derivatives
+    taylor_terms
 from aderfv.harness import (build_config, convergence_study, error_norms,
                             field_interpolant, make_case, shu_osher_reference)
 from aderfv.nodes import build_grid, newton_cotes_weights, space_nodes
@@ -250,7 +250,7 @@ def test_criterion_6_ck_coefficient_suite():
         stack.dxB[l] = np.zeros(shape + (2, 2))
         stack.dtB[l] = np.zeros(shape + (2, 2))
     C = matrix_c(stack, 4, grid, time_axis=2)
-    dtq = time_derivatives(stack, C, stack.S, 4)
+    dtq = list(taylor_terms(stack, C, stack.S, 4).dtQ.values())
     dx = {0: stack.Q, **stack.dxQ}
     worst = 0.0
     for k in range(1, 5):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from aderfv.ck import (CKCoefficients, NodeDerivativeStack, binom,
                        leibniz_expand, m_vector, matrix_c, matrix_d,
-                       pascal_coeffs, taylor_terms, time_derivatives)
+                       pascal_coeffs, taylor_terms)
 from aderfv.nodes import build_grid
 
 RNG = np.random.default_rng(7)
@@ -249,12 +249,12 @@ def test_time_derivatives_match_conventional_ck_for_frozen_jacobians(k):
     B = rng.standard_normal((m, m))
     grid, stack = constant_grid_stack(A, B, M=4, seed=12)
     C = matrix_c(stack, 4, grid, time_axis=2)
-    dtq = time_derivatives(stack, C, stack.S, 4)
+    dtq = taylor_terms(stack, C, stack.S, 4).dtQ
     P, R = conventional_ck_constant(A, B, k)
     want = (R @ stack.S[..., None])[..., 0]
     for l, mat in P.items():
         want = want + (mat @ stack.dxQ[l][..., None])[..., 0]
-    err = np.max(np.abs(dtq[k - 1] - want))
+    err = np.max(np.abs(dtq[k] - want))
     assert err < 1e-8 * max(1.0, np.max(np.abs(want)))
 
 
@@ -265,14 +265,14 @@ def test_time_derivatives_binomial_oracle_linear_system():
     grid, stack = constant_grid_stack(A, beta * np.eye(2), M=4, seed=13)
     stack.S = beta * stack.Q    # source consistent with B = beta*I
     C = matrix_c(stack, 4, grid, time_axis=2)
-    dtq = time_derivatives(stack, C, stack.S, 4)
+    dtq = taylor_terms(stack, C, stack.S, 4).dtQ
     dx = {0: stack.Q, **stack.dxQ}
     for k in range(1, 5):
         want = 0.0
         for j in range(0, k + 1):
             mat = binom(k, j) * beta ** (k - j) * np.linalg.matrix_power(-A, j)
             want = want + (mat @ dx[j][..., None])[..., 0]
-        rel = np.max(np.abs(dtq[k - 1] - want)) / max(1.0, np.max(np.abs(want)))
+        rel = np.max(np.abs(dtq[k] - want)) / max(1.0, np.max(np.abs(want)))
         assert rel < 1e-8
 
 
@@ -283,7 +283,7 @@ def test_time_derivatives_zero_at_equilibrium():
         stack.dxQ[l] = np.zeros_like(stack.dxQ[l])
     stack.S = np.zeros_like(stack.S)
     C = matrix_c(stack, 3, grid, time_axis=2)
-    for d in time_derivatives(stack, C, stack.S, 3):
+    for d in taylor_terms(stack, C, stack.S, 3).dtQ.values():
         assert np.allclose(d, 0.0, atol=1e-14)
 
 
@@ -341,12 +341,12 @@ def test_second_time_derivative_fd_oracle_on_exact_solution():
     stack.dxQ[2] = np.broadcast_to(dx_exact(x0, t0, 2), shape + (2,)).copy()
     stack.dxA[1] = np.zeros(shape + (2, 2))
     C = matrix_c(stack, 2, grid, time_axis=2)
-    dtq = time_derivatives(stack, C, stack.S, 2)
-    assert np.max(np.abs(dtq[1][0, 0, 0] - fd)) < 1e-5
+    dtq = taylor_terms(stack, C, stack.S, 2).dtQ
+    assert np.max(np.abs(dtq[2][0, 0, 0] - fd)) < 1e-5
 
 
 def test_taylor_terms_split_explicit_plus_source_power():
-    """dtQ[k] = explicit[k] + B^(k-1) S for the recursive form."""
+    """dtQ[k] = explicit[k] + B^(k-1) S."""
     m = 2
     rng = np.random.default_rng(23)
     grid, stack = constant_grid_stack(rng.standard_normal((m, m)),
@@ -358,22 +358,6 @@ def test_taylor_terms_split_explicit_plus_source_power():
         b_pow = np.linalg.matrix_power(stack.B[0, 0, 0], k - 1)
         want = terms.explicit[k] + (b_pow @ stack.S[..., None])[..., 0]
         assert np.allclose(terms.dtQ[k], want, atol=1e-12)
-
-
-def test_taylor_terms_literal_form_sums_m_vectors():
-    m = 2
-    rng = np.random.default_rng(29)
-    grid, stack = constant_grid_stack(rng.standard_normal((m, m)),
-                                      rng.standard_normal((m, m)), M=3,
-                                      seed=30)
-    C = matrix_c(stack, 3, grid, time_axis=2)
-    lit = taylor_terms(stack, C, stack.S, 3, form="literal")
-    mks = [m_vector(k, stack, C) for k in range(1, 4)]
-    assert np.allclose(lit.explicit[1], mks[0])
-    assert np.allclose(lit.explicit[2], mks[1])
-    assert np.allclose(lit.explicit[3], mks[1] + mks[2])
-    with pytest.raises(ValueError):
-        taylor_terms(stack, C, stack.S, 3, form="bogus")
 
 
 def test_ck_coefficients_bounds():

@@ -157,7 +157,7 @@ def test_newton_sweep_source_free_is_explicit_taylor():
     q = w[:, :, None, :] + 0.01 * rng.standard_normal((3, 3, grid.n_time, 2))
     stack = populate_stacks(system, q, grid)
     C = matrix_c(stack, 2, grid, time_axis=2)
-    q_new, res = newton_sweep(stack, C, w, grid, PredictorConfig())
+    q_new, res = newton_sweep(stack, C, w, grid)
     terms = taylor_terms(stack, C, stack.S, 2)
     tau = grid.tau * grid.dt
     want = np.broadcast_to(w[:, :, None, :], q.shape).astype(float).copy()
@@ -173,16 +173,16 @@ def test_predictor_constant_data_all_orders():
     for M in (1, 2, 3, 4):
         grid = build_grid(M, 0.1, 0.05)
         w = np.broadcast_to(q0, (3, M + 1, 3)).copy()
-        ns = predictor_solve(system, w, np.zeros_like(w), grid)
-        assert np.max(np.abs(ns.Q - q0)) < 1e-13
+        q, _ = predictor_solve(system, w, np.zeros_like(w), grid)
+        assert np.max(np.abs(q - q0)) < 1e-13
 
 
 def test_predictor_equilibrium_preservation_stiff():
     system = leveque_yee_system(-10000.0)
     grid = build_grid(3, 1 / 300, 0.2 / 300)
     w = np.ones((4, 4, 1))
-    ns = predictor_solve(system, w, np.zeros_like(w), grid)
-    assert np.max(np.abs(ns.Q - 1.0)) < 1e-14
+    q, _ = predictor_solve(system, w, np.zeros_like(w), grid)
+    assert np.max(np.abs(q - 1.0)) < 1e-14
 
 
 def test_predictor_m1_linear_fixed_point_residual():
@@ -193,12 +193,14 @@ def test_predictor_m1_linear_fixed_point_residual():
     dt = 0.9 * dx
     field = CellField(n, dx, 0.0, exact_averages(system.exact_solution, n, dx, 0.0))
     grid, w_nodal, dxw = nodal_data_from_field(system, field, 1, dt)
-    ns = predictor_solve(system, w_nodal, dxw, grid)
+    q, _ = predictor_solve(system, w_nodal, dxw, grid)
     a_mat = np.array([[0.0, lam], [lam, 0.0]])
     tau = grid.tau[0] * grid.dt
-    dxq_old = ns.stack.dxQ[1]
-    resid = ns.Q - w_nodal[:, :, None, :] \
-        + tau * (dxq_old @ a_mat.T - beta * ns.Q)
+    # the single sweep (M = 1) freezes dxQ at the initial guess
+    q_old = initial_guess(system, w_nodal, dxw, grid)
+    dxq_old = populate_stacks(system, q_old, grid).dxQ[1]
+    resid = q - w_nodal[:, :, None, :] \
+        + tau * (dxq_old @ a_mat.T - beta * q)
     assert np.max(np.abs(resid)) < 1e-10
 
 
@@ -209,7 +211,7 @@ def test_predictor_source_free_equals_explicit_taylor_pipeline():
     dt = 0.5 * dx
     field = CellField(n, dx, 0.0, exact_averages(system.exact_solution, n, dx, 0.0))
     grid, w_nodal, dxw = nodal_data_from_field(system, field, 2, dt)
-    ns = predictor_solve(system, w_nodal, dxw, grid)
+    q_solved, _ = predictor_solve(system, w_nodal, dxw, grid)
 
     # independent explicit iteration with the same structure
     q = initial_guess(system, w_nodal, dxw, grid)
@@ -223,7 +225,7 @@ def test_predictor_source_free_equals_explicit_taylor_pipeline():
             ck = ((-tau) ** k / math.factorial(k))[None, None, :, None]
             q_next = q_next - ck * terms.explicit[k]
         q = q_next
-    assert np.max(np.abs(ns.Q - q)) < 1e-12
+    assert np.max(np.abs(q_solved - q)) < 1e-12
 
 
 @pytest.mark.parametrize("M,min_order", [(2, 2.5)])
@@ -237,13 +239,13 @@ def test_predictor_eoc_linear_system(M, min_order):
         field = CellField(n, dx, 0.0,
                           exact_averages(system.exact_solution, n, dx, 0.0))
         grid, w_nodal, dxw = nodal_data_from_field(system, field, M, dt)
-        ns = predictor_solve(system, w_nodal, dxw, grid)
+        q, _ = predictor_solve(system, w_nodal, dxw, grid)
         centers = field.cell_centers()
         x_nodes = centers[:, None] + grid.xi[None, :] * dx
         err = 0.0
         for j, tau in enumerate(grid.tau):
             vals = system.exact_solution(x_nodes, tau * dt)
-            err = max(err, np.max(np.abs(ns.Q[:, :, j, :] - vals)))
+            err = max(err, np.max(np.abs(q[:, :, j, :] - vals)))
         errs.append(err)
     order = math.log2(errs[0] / errs[1])
     assert order >= min_order
@@ -260,13 +262,13 @@ def test_predictor_eoc_euler_fifth_order():
                           exact_averages(system.exact_solution, n, dx, 0.0,
                                          m=3))
         grid, w_nodal, dxw = nodal_data_from_field(system, field, M, dt)
-        ns = predictor_solve(system, w_nodal, dxw, grid)
+        q, _ = predictor_solve(system, w_nodal, dxw, grid)
         centers = field.cell_centers()
         x_nodes = centers[:, None] + grid.xi[None, :] * dx
         err = 0.0
         for j, tau in enumerate(grid.tau):
             vals = system.exact_solution(x_nodes, tau * dt)
-            err = max(err, np.max(np.abs(ns.Q[:, :, j, :] - vals)))
+            err = max(err, np.max(np.abs(q[:, :, j, :] - vals)))
         errs.append(err)
     order = math.log2(errs[0] / errs[1])
     assert order >= 4.2
@@ -280,10 +282,13 @@ def test_predictor_residuals_monitored_and_decreasing():
     avg = 0.5 + 0.4 * np.sin(2 * np.pi * (np.arange(n) + 0.5) / n)[:, None]
     field = CellField(n, dx, 0.0, avg, "transmissive")
     grid, w_nodal, dxw = nodal_data_from_field(system, field, 3, dt)
-    cfg = PredictorConfig(monitor=True)
-    ns = predictor_solve(system, w_nodal, dxw, grid, cfg)
-    assert len(ns.residuals) == ns.sweeps + 1
-    for a, b in zip(ns.residuals[:-1], ns.residuals[1:]):
+    q, plain = predictor_solve(system, w_nodal, dxw, grid)
+    q_mon, monitored = predictor_solve(system, w_nodal, dxw, grid,
+                                       PredictorConfig(monitor=True))
+    assert np.array_equal(q_mon, q)
+    assert len(monitored) == len(plain) + 1
+    assert monitored[:-1] == plain
+    for a, b in zip(monitored[:-1], monitored[1:]):
         assert b <= a * (1 + 1e-9)
 
 
@@ -301,9 +306,9 @@ def test_predictor_stiff_node_residual_small():
     field = CellField(n, dx, 0.0, avg, "transmissive")
     grid, w_nodal, dxw = nodal_data_from_field(system, field, 3, dt)
     cfg = PredictorConfig(monitor=True)
-    ns = predictor_solve(system, w_nodal, dxw, grid, cfg)
-    assert ns.residuals[-1] < 1e-8
-    assert ns.residuals[-1] < ns.residuals[0] / 50.0
+    _, residuals = predictor_solve(system, w_nodal, dxw, grid, cfg)
+    assert residuals[-1] < 1e-8
+    assert residuals[-1] < residuals[0] / 50.0
 
 
 def test_predictor_early_exit_is_per_cell():
@@ -314,7 +319,7 @@ def test_predictor_early_exit_is_per_cell():
     avg = np.where(np.arange(n) < 20, 1.0, 0.0)[:, None]
     field = CellField(n, dx, 0.0, avg, "transmissive")
     grid, w_nodal, dxw = nodal_data_from_field(system, field, 2, dt)
-    full = predictor_solve(system, w_nodal, dxw, grid).Q
-    parts = [predictor_solve(system, w_nodal[a:b], dxw[a:b], grid).Q
+    full, _ = predictor_solve(system, w_nodal, dxw, grid)
+    parts = [predictor_solve(system, w_nodal[a:b], dxw[a:b], grid)[0]
              for a, b in ((0, 13), (13, 29), (29, 40))]
     assert np.array_equal(full, np.concatenate(parts, axis=0))

@@ -252,7 +252,7 @@ def test_run_zero_output_time_returns_projection():
 def test_run_verbose_log_lines():
     system = linear_system(1.0, -1.0)
     cfg = make_config(system, lambda x: system.exact_solution(x, 0.0), 2, 16,
-                      t_out=0.05, verbose=True)
+                      t_out=0.05)
     stream = io.StringIO()
     res = run(cfg, log_stream=stream)
     lines = stream.getvalue().strip().splitlines()
@@ -299,6 +299,19 @@ def test_thread_count_does_not_change_results():
                           3, 32, t_out=0.1, n_threads=n_threads)
         results.append(run(cfg).field.averages)
     assert np.array_equal(results[0], results[1])
+
+
+def test_residual_trace_kept_and_thread_independent():
+    """Every run keeps the per-step predictor residuals; the merge of the
+    per-block lists gives the same trace at any thread count."""
+    case = make_case("leveque-yee", beta=-1000.0)
+    traces = []
+    for n_threads in (1, 3):
+        res = run(build_config(case, order=3, cells=120, n_threads=n_threads))
+        assert len(res.predictor_residuals) == res.n_steps > 0
+        assert all(res.predictor_residuals)
+        traces.append(res.predictor_residuals)
+    assert traces[0] == traces[1]
 
 
 def test_thread_count_env_variable(monkeypatch):
@@ -378,7 +391,7 @@ def test_transition_cell_takes_two_state_solution():
     assert np.array_equal(q[91, ..., 0], want)
 
     keep = np.arange(len(q)) != 91
-    other = predictor_solve(cfg.system, W[keep], dxW[keep], grid).Q
+    other, _ = predictor_solve(cfg.system, W[keep], dxW[keep], grid)
     assert np.array_equal(q[keep], other)
 
 

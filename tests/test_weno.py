@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aderfv.nodes import gauss_legendre
-from aderfv.weno import CellField, ReconstructionPoly, evaluate, reconstruct
+from aderfv.weno import CellField, ReconstructionSet, reconstruct
 
 
 def averages_of(f, n, x_left=0.0, x_right=1.0):
@@ -41,9 +41,9 @@ def test_constant_field_reproduced_exactly(M):
     field = CellField(12, 1 / 12, 0.0, np.full((12, 2), 3.25))
     recon = reconstruct(field, M)
     for i in range(12):
-        poly = recon[i]
-        assert np.allclose(poly.coefficients[0], 3.25, atol=1e-13)
-        assert np.allclose(poly.coefficients[1:], 0.0, atol=1e-12)
+        coeffs = recon.coeffs[i]
+        assert np.allclose(coeffs[0], 3.25, atol=1e-13)
+        assert np.allclose(coeffs[1:], 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
@@ -56,7 +56,7 @@ def test_linear_data_reproduced_in_interior(M):
     for i in range(M, 16 - M):
         for xi in (-0.5, 0.0, 0.5):
             want = f(centers[i] + xi * dx)
-            got = recon[i].evaluate(xi)[0]
+            got = recon.evaluate(xi)[i][0]
             assert abs(got - want) < 1e-12
 
 
@@ -73,7 +73,7 @@ def test_degree_M_polynomials_reconstructed_exactly(M):
     centers = field.cell_centers()
     xi_probe = np.linspace(-0.5, 0.5, 7)
     for i in range(M, 20 - M):
-        got = recon[i].evaluate(xi_probe)[:, 0]
+        got = recon.evaluate(xi_probe)[i][:, 0]
         want = f(centers[i] + xi_probe * dx)[:, 0]
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -101,8 +101,10 @@ def test_conservation_of_cell_means(M, seed):
     avg = rng.standard_normal((10, 2))
     field = CellField(10, 0.1, 0.0, avg, "periodic")
     recon = reconstruct(field, M)
+    k = np.arange(M + 1)
+    moments = (0.5 ** (k + 1) - (-0.5) ** (k + 1)) / (k + 1)
     for i in range(10):
-        assert np.max(np.abs(recon[i].cell_mean() - avg[i])) < 1e-12
+        assert np.max(np.abs(moments @ recon.coeffs[i] - avg[i])) < 1e-12
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
@@ -113,36 +115,36 @@ def test_step_function_interface_values_stay_in_data_range(M):
     for i in range(30):
         lo = avg[max(0, i - M): i + M + 1, 0].min()
         hi = avg[max(0, i - M): i + M + 1, 0].max()
-        vals = recon[i].evaluate(np.array([-0.5, 0.5]))[:, 0]
+        vals = recon.evaluate(np.array([-0.5, 0.5]))[i][:, 0]
         assert vals.min() >= lo - 1e-8
         assert vals.max() <= hi + 1e-8
 
 
 def test_evaluate_point_values_and_derivatives():
-    poly = ReconstructionPoly(degree=2, coefficients=np.array(
-        [[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]]))
-    assert np.allclose(evaluate(poly, 0.0), [1.0, 2.0])
-    lin = ReconstructionPoly(degree=1, coefficients=np.array([[4.0], [2.5]]))
+    quad = ReconstructionSet(2, np.array(
+        [[[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]]]))
+    assert np.allclose(quad.evaluate(0.0)[0], [1.0, 2.0])
+    lin = ReconstructionSet(1, np.array([[[4.0], [2.5]]]))
     for xi in (-0.5, 0.1, 0.5):
-        assert np.allclose(evaluate(lin, xi, l=1), [2.5])
-    assert np.all(evaluate(poly, 0.3, l=3) == 0.0)
+        assert np.allclose(lin.evaluate(xi, l=1)[0], [2.5])
+    assert np.all(quad.evaluate(0.3, l=3) == 0.0)
     with pytest.raises(ValueError):
-        evaluate(poly, 0.0, l=-1)
+        quad.evaluate(0.0, l=-1)
 
 
 def test_evaluate_second_derivative_matches_finite_difference():
     rng = np.random.default_rng(3)
-    poly = ReconstructionPoly(degree=4, coefficients=rng.standard_normal((5, 1)))
+    quartic = ReconstructionSet(4, rng.standard_normal((5, 1))[None])
     xi, h = 0.25, 1e-6
-    fd = (evaluate(poly, xi + h, l=1) - evaluate(poly, xi - h, l=1)) / (2 * h)
-    assert np.max(np.abs(evaluate(poly, xi, l=2) - fd)) < 1e-8
+    fd = (quartic.evaluate(xi + h, l=1) - quartic.evaluate(xi - h, l=1)) / (2 * h)
+    assert np.max(np.abs(quartic.evaluate(xi, l=2) - fd)) < 1e-8
 
 
 def test_reconstruction_set_interface():
     field = CellField(8, 0.125, 0.0, np.arange(16.0).reshape(8, 2))
     recon = reconstruct(field, 2)
-    assert len(recon) == 8
-    assert recon[3].coefficients.shape == (3, 2)
+    assert recon.coeffs.shape[0] == 8
+    assert recon.coeffs[3].shape == (3, 2)
     vals = recon.evaluate(np.array([-0.5, 0.0, 0.5]))
     assert vals.shape == (8, 3, 2)
     scalar = recon.evaluate(0.0)
@@ -162,5 +164,5 @@ def test_weights_prefer_smooth_sided_stencil_at_jump():
     field = CellField(20, 0.05, 0.0, avg, "transmissive")
     recon = reconstruct(field, 3)
     # cell 9 is left of the jump: its smooth (left) stencil is constant
-    assert np.max(np.abs(recon[9].coefficients[1:])) < 1e-6
-    assert abs(recon[9].coefficients[0, 0] - 2.0) < 1e-6
+    assert np.max(np.abs(recon.coeffs[9, 1:])) < 1e-6
+    assert abs(recon.coeffs[9, 0, 0] - 2.0) < 1e-6
