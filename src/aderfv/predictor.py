@@ -8,8 +8,10 @@ where G(k) is the k-th time derivative delivered by the recursive
 Cauchy-Kowalewskaya functional.  The source part B**(k-1) S(Q) of G(k) is
 kept implicit; everything else is frozen at the current iterate.  The
 resulting algebraic system H(Y) = 0 is relaxed by a nested Picard iteration:
-M outer sweeps, each refreshing the interpolated derivative stacks and
-performing a single Newton step per node.
+at most M outer sweeps, each refreshing the interpolated derivative stacks
+and performing a single Newton step per node.  The system is local to each
+cell, so a cell whose residual meets the tolerance keeps its values and every
+later sweep evaluates only the cells still updating.
 
 All arrays are batched over cells: Q has shape (n_cells, n_S, n_T, m).
 """
@@ -31,17 +33,27 @@ _TIME_AXIS = 2
 
 
 class PredictorError(RuntimeError):
-    """Newton system became singular (stiffness beyond the method's design)."""
+    """Newton system became singular (stiffness beyond the method's design).
+
+    ``nodes`` holds the (cell, space node, time node) indices of the singular
+    systems, the cell counted within the batch passed to the predictor.
+    """
+
+    def __init__(self, nodes: np.ndarray):
+        super().__init__("singular Newton system at (cell, space node, time "
+                         f"node) indices {nodes[:10].tolist()}")
+        self.nodes = nodes
 
 
 @dataclass(frozen=True)
 class PredictorConfig:
     """Iteration controls for the nested Picard/Newton solve.
 
-    The sweep budget is always M; cells whose residual drops below
-    ``residual_tol`` stop updating early (no accuracy change).  The residual
-    of every sweep's incoming iterate is always recorded; ``monitor=True``
-    also evaluates the residual after the final sweep (one more stack and
+    The sweep budget is always M; a cell whose residual is at or below
+    ``residual_tol`` stops updating and drops out of the later sweeps (no
+    accuracy change).  Each sweep records the max residual of its incoming
+    iterate over the cells it evaluated; ``monitor=True`` also evaluates the
+    residual after the final sweep over all cells (one more stack and
     C-matrix build), so the recorded sequence covers every iterate.
     """
 
@@ -167,10 +179,8 @@ def newton_sweep(stack: NodeDerivativeStack, C: CKCoefficients,
         delta = np.linalg.solve(jac, h[..., None])[..., 0]
     except np.linalg.LinAlgError:
         det = np.linalg.det(jac)
-        bad = np.argwhere(~(np.abs(det) > np.finfo(float).tiny))
         raise PredictorError(
-            "singular Newton system at (cell, space node, time node) indices "
-            f"{bad[:10].tolist()}") from None
+            np.argwhere(~(np.abs(det) > np.finfo(float).tiny))) from None
     return stack.Q - delta, cell_res
 
 
@@ -180,27 +190,36 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
                     ) -> tuple[np.ndarray, list]:
     """Run the nested Picard iteration for a batch of cells.
 
-    M sweeps of {populate stacks, build C matrices, Newton step at every
-    node}; cells whose residual already meets the tolerance keep their
-    values (the early exit is per cell, so results do not depend on how
-    cells are batched).  Returns the nodal values Q, shape
-    (n_cells, n_S, n_T, m), and the max-norm residual of each sweep's
-    incoming iterate (plus that of the final iterate under ``monitor``).
+    Up to M sweeps of {populate stacks, build C matrices, Newton step at
+    every node}, each over the rows of the cells still updating only; a cell
+    whose incoming residual meets the tolerance keeps its values and leaves
+    the iteration (the early exit is per cell, so results do not depend on
+    how cells are batched).  Returns the nodal values Q, shape
+    (n_cells, n_S, n_T, m), and per sweep the max-norm residual of the
+    incoming iterate over the cells it evaluated: above ``residual_tol``
+    this is the max over all cells, since a cell that left holds a residual
+    at or below it.  Under ``monitor`` the residual of the final iterate
+    over all cells follows.
     """
     cfg = cfg or PredictorConfig()
     M = grid.M
     Q = initial_guess(system, W_nodal, dxW, grid)
     residuals = []
-    active = np.ones(Q.shape[0], dtype=bool)
+    cells = np.arange(Q.shape[0])      # indices of the cells still updating
     for _ in range(M):
-        if not active.any():
+        if cells.size == 0:
             break
-        stack = populate_stacks(system, Q, grid)
+        stack = populate_stacks(system, Q[cells], grid)
         C = matrix_c(stack, M, grid, time_axis=_TIME_AXIS)
-        q_new, cell_res = newton_sweep(stack, C, W_nodal, grid)
+        try:
+            q_new, cell_res = newton_sweep(stack, C, W_nodal[cells], grid)
+        except PredictorError as exc:    # locate the cell within the batch
+            exc.nodes[:, 0] = cells[exc.nodes[:, 0]]
+            raise PredictorError(exc.nodes) from None
         residuals.append(float(cell_res.max()))
-        active = active & (cell_res > cfg.residual_tol)
-        Q = np.where(active[:, None, None, None], q_new, Q)
+        updating = cell_res > cfg.residual_tol
+        cells = cells[updating]
+        Q[cells] = q_new[updating]
     if cfg.monitor:
         stack = populate_stacks(system, Q, grid)
         C = matrix_c(stack, M, grid, time_axis=_TIME_AXIS)

@@ -221,7 +221,9 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
     """Predictor over all cells, optionally split into thread blocks.
 
     The per-cell solve is independent, so the result is bitwise identical
-    for any thread count.
+    for any thread count.  Each block drops its converged cells from its own
+    later sweeps; the residual trace takes per sweep the largest entry of
+    any block that ran it, i.e. the max over the cells evaluated.
     """
     n_threads = config.thread_count()
     n_cells = W_nodal.shape[0]
@@ -315,8 +317,9 @@ class RunResult:
     t_final: float
     n_steps: int
     seconds: float
-    # one list per step: the max residual of each predictor sweep, merged
-    # over thread blocks (largest per sweep)
+    # one list per step: the max residual of each predictor sweep's incoming
+    # iterate over the cells that sweep evaluated (those still updating),
+    # merged over thread blocks (largest per sweep)
     predictor_residuals: list = field(default_factory=list)
 
 

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from aderfv import predictor
 from aderfv.ck import matrix_c, taylor_terms
+from aderfv.harness import build_config, make_case
 from aderfv.nodes import build_grid, gauss_legendre
-from aderfv.predictor import (PredictorConfig, initial_guess, newton_sweep,
-                              populate_stacks, predictor_solve,
+from aderfv.predictor import (PredictorConfig, PredictorError, initial_guess,
+                              newton_sweep, populate_stacks, predictor_solve,
                               residual_and_jacobian)
+from aderfv.scheme import cfl_timestep, run
 from aderfv.systems import (euler_primitive_to_conserved, euler_system,
                             leveque_yee_system, linear_system)
 from aderfv.weno import CellField, reconstruct
@@ -323,3 +326,131 @@ def test_predictor_early_exit_is_per_cell():
     parts = [predictor_solve(system, w_nodal[a:b], dxw[a:b], grid)[0]
              for a, b in ((0, 13), (13, 29), (29, 40))]
     assert np.array_equal(full, np.concatenate(parts, axis=0))
+
+
+def _full_batch_solve(system, w_nodal, dxw, grid, tol):
+    """Reference sweep loop: every sweep evaluates every cell, and a mask
+    keeps the values of the cells that have converged."""
+    q = initial_guess(system, w_nodal, dxw, grid)
+    residuals = []
+    active = np.ones(q.shape[0], dtype=bool)
+    for _ in range(grid.M):
+        if not active.any():
+            break
+        stack = populate_stacks(system, q, grid)
+        C = matrix_c(stack, grid.M, grid, time_axis=2)
+        q_new, cell_res = newton_sweep(stack, C, w_nodal, grid)
+        residuals.append(float(cell_res.max()))
+        active = active & (cell_res > tol)
+        q = np.where(active[:, None, None, None], q_new, q)
+    return q, residuals
+
+
+def _stiff_pulse_data(M):
+    """LeVeque-Yee (beta = -1000) pulse between stable states whose two
+    front cells hold partial averages: only those cells outlast sweep 1."""
+    system = leveque_yee_system(-1000.0)
+    n, dx = 120, 1.0 / 120
+    avg = np.zeros((n, 1))
+    avg[30:90] = 1.0
+    avg[29], avg[90] = 0.3, 0.7
+    field = CellField(n, dx, 0.0, avg, "transmissive")
+    return (system,) + nodal_data_from_field(system, field, M, 0.2 * dx)
+
+
+@pytest.fixture(scope="module")
+def shu_osher_field():
+    """Averages of the Shu-Osher run after 10 steps on 100 cells."""
+    case = make_case("shu-osher")
+    return case.system, run(build_config(case, order=3, cells=100,
+                                         t_out=0.02)).field
+
+
+def _shu_osher_data(system_and_field, M):
+    system, field = system_and_field
+    dt = cfl_timestep(field, system, 0.5)
+    return (system,) + nodal_data_from_field(system, field, M, dt)
+
+
+def _predictor_cases(shu_osher_field):
+    for M in (1, 2, 3, 4):
+        yield f"stiff pulse M={M}", _stiff_pulse_data(M)
+    yield "shu-osher M=2", _shu_osher_data(shu_osher_field, 2)
+    # stable equilibrium: every cell converges in sweep 1
+    system = leveque_yee_system(-1000.0)
+    grid = build_grid(3, 1 / 120, 0.2 / 120)
+    w = np.ones((6, 4, 1))
+    yield "equilibrium", (system, grid, w, np.zeros_like(w))
+    yield "no cells", (system, grid, w[:0], w[:0])
+
+
+def test_predictor_matches_full_batch_oracle(shu_osher_field):
+    """Evaluating only the cells still updating changes no value: Q is
+    bitwise equal to the full-batch loop's, and each trace entry above the
+    tolerance is equal (at or below it both are)."""
+    tol = PredictorConfig().residual_tol
+    for name, (system, grid, w_nodal, dxw) in _predictor_cases(shu_osher_field):
+        q, trace = predictor_solve(system, w_nodal, dxw, grid)
+        q_ref, trace_ref = _full_batch_solve(system, w_nodal, dxw, grid, tol)
+        assert np.array_equal(q, q_ref), name
+        assert len(trace) == len(trace_ref), name
+        for got, want in zip(trace, trace_ref):
+            if want > tol:
+                assert got == want, name
+            else:
+                assert got <= tol, name
+        if name == "equilibrium":
+            assert len(trace) == 1
+        if name == "no cells":
+            assert trace == [] and q.shape == (0, 4, grid.n_time, 1)
+
+
+@pytest.mark.parametrize("data", ["stiff pulse", "shu-osher"])
+def test_predictor_sweeps_receive_only_updating_cells(monkeypatch, data,
+                                                      shu_osher_field):
+    """Sweep k+1 gets exactly the rows whose sweep-k residual exceeded the
+    tolerance, carrying the values sweep k produced for them."""
+    system, grid, w_nodal, dxw = (_stiff_pulse_data(3) if data == "stiff pulse"
+                                  else _shu_osher_data(shu_osher_field, 3))
+    tol = PredictorConfig().residual_tol
+    calls = []
+
+    def spy(stack, C, w, grid):
+        q_new, cell_res = newton_sweep(stack, C, w, grid)
+        calls.append((stack.Q.copy(), w.copy(), q_new, cell_res))
+        return q_new, cell_res
+
+    monkeypatch.setattr(predictor, "newton_sweep", spy)
+    predictor_solve(system, w_nodal, dxw, grid)
+    assert len(calls) == 3
+    rows = np.arange(w_nodal.shape[0])
+    assert np.array_equal(calls[0][1], w_nodal)
+    for (_, _, q_prev, res_prev), (q_in, w_in, _, _) in zip(calls, calls[1:]):
+        kept = res_prev > tol
+        rows = rows[kept]
+        assert 0 < rows.size < w_nodal.shape[0]
+        assert np.array_equal(w_in, w_nodal[rows])
+        assert np.array_equal(q_in, q_prev[kept])
+
+
+def test_predictor_error_locates_cell_in_batch(monkeypatch):
+    """A singular Newton system in a later sweep names the cell by its index
+    in the batch, not by its row among the cells still updating."""
+    system, grid, w_nodal, dxw = _stiff_pulse_data(2)
+    target = 90     # a front cell, still updating in sweep 2
+    sweeps = []
+
+    def singular_at_target(stack, C, w, tau_phys, M):
+        h, jac = residual_and_jacobian(stack, C, w, tau_phys, M)
+        sweeps.append(w.shape[0])
+        if len(sweeps) == 2:
+            rows = np.all(w == w_nodal[target], axis=(1, 2))
+            jac = np.where(rows[:, None, None, None, None], 0.0, jac)
+        return h, jac
+
+    monkeypatch.setattr(predictor, "residual_and_jacobian", singular_at_target)
+    with pytest.raises(PredictorError) as err:
+        predictor_solve(system, w_nodal, dxw, grid)
+    assert sweeps[1] < w_nodal.shape[0]
+    assert set(err.value.nodes[:, 0].tolist()) == {target}
+    assert f"[{target}, 0, 0]" in str(err.value)
