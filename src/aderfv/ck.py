@@ -18,6 +18,13 @@ together with the source-free parts ``E_k = M_k + B E_{k-1}`` that the
 implicit predictor needs; it is the only form of the functional.  All
 functions broadcast over leading array axes, so a "node" may equally be a
 single state or a whole grid of cells times space-time nodes.
+
+All m x m algebra of the solver goes through the batched helpers
+``_matvec``, ``_matmul``, ``_solve`` and ``_det``.  At m = 1 (scalar laws)
+they multiply and divide elementwise, which skips the per-matrix dispatch of
+``@`` and LAPACK and gives the same values (the sign of an exact zero
+product aside).  For m > 1 they are ``@``, ``np.linalg.solve`` and
+``np.linalg.det``.
 """
 from __future__ import annotations
 
@@ -53,7 +60,37 @@ def pascal_coeffs(l: int):
 
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Batched m x m matrix times m-vector."""
+    if mat.shape[-1] == 1:
+        return mat[..., 0] * vec
     return (mat @ vec[..., None])[..., 0]
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched m x m matrix product."""
+    if a.shape[-1] == 1:
+        return a * b
+    return a @ b
+
+
+def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched solve of mat x = rhs for m-vectors x.
+
+    Raises ``np.linalg.LinAlgError`` when a system is exactly singular, as
+    LAPACK does (a zero pivot).
+    """
+    if mat.shape[-1] == 1:
+        if not mat.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return rhs / mat[..., 0]
+    return np.linalg.solve(mat, rhs[..., None])[..., 0]
+
+
+def _det(mat: np.ndarray) -> np.ndarray:
+    """Batched determinant; at m = 1 the entry itself."""
+    if mat.shape[-1] == 1:
+        return mat[..., 0, 0]
+    return np.linalg.det(mat)
 
 
 @dataclass
@@ -143,11 +180,11 @@ def matrix_c(stack: NodeDerivativeStack, M: int, grid: NodeGrid,
 
     mats = {(1, 1): -stack.A}
     for k in range(2, M + 1):
-        mats[(k, k)] = mats[(k - 1, k - 1)] @ d_mat(k, k)
+        mats[(k, k)] = _matmul(mats[(k - 1, k - 1)], d_mat(k, k))
         for l in range(1, k):
             acc = time_derivative(mats[(k - 1, l)], 1, grid, axis=time_axis)
             for m in range(max(l - 1, 1), k):
-                acc = acc + mats[(k - 1, m)] @ d_mat(m + 1, l)
+                acc = acc + _matmul(mats[(k - 1, m)], d_mat(m + 1, l))
             mats[(k, l)] = acc
     return CKCoefficients(M=M, mats=mats)
 
@@ -221,6 +258,6 @@ def leibniz_expand(l: int, a_derivs, b_derivs) -> np.ndarray:
     for k in range(l + 1):
         a = np.asarray(a_derivs[l - k])
         b = np.asarray(b_derivs[k])
-        term = binom(l, k) * (_matvec(a, b) if matvec else a @ b)
+        term = binom(l, k) * (_matvec(a, b) if matvec else _matmul(a, b))
         out = term if out is None else out + term
     return out

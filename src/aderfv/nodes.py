@@ -121,11 +121,15 @@ def build_grid(M: int, dx: float, dt: float) -> NodeGrid:
 
 
 def _apply(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
-    # Contract the node axis with the stencil matrix; matmul over the last
-    # axis avoids the copies a tensordot/moveaxis round trip would make.
-    swapped = np.swapaxes(values, axis, -1)
-    out = swapped @ mat.T
-    return np.swapaxes(out, axis, -1)
+    # Contract the node axis with the stencil matrix as a stack of 2-D
+    # products on contiguous data: mat times the (nodes, rest) slab of every
+    # leading index.  Matmul over a swapped, strided last axis instead
+    # measured up to 10x slower on these small tensors (m = 3 matrix data).
+    shape = values.shape
+    axis %= len(shape)
+    slabs = np.ascontiguousarray(values).reshape(
+        math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
+    return (mat @ slabs).reshape(shape)
 
 
 def space_derivative(values: np.ndarray, l: int, grid: NodeGrid,

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ck import (CKCoefficients, NodeDerivativeStack, _matvec, matrix_c,
-                 taylor_terms)
+from .ck import (CKCoefficients, NodeDerivativeStack, _det, _matmul, _matvec,
+                 _solve, matrix_c, taylor_terms)
 from .nodes import NodeGrid, space_derivative, time_derivative
 from .systems import HyperbolicSystem
 
@@ -36,13 +36,22 @@ class PredictorError(RuntimeError):
     """Newton system became singular (stiffness beyond the method's design).
 
     ``nodes`` holds the (cell, space node, time node) indices of the singular
-    systems, the cell counted within the batch passed to the predictor.
+    systems, the cell counted within the batch passed to the predictor;
+    :func:`relabel` maps it to the array the batch was gathered from (the
+    scheme names the mesh cell).
     """
 
     def __init__(self, nodes: np.ndarray):
         super().__init__("singular Newton system at (cell, space node, time "
                          f"node) indices {nodes[:10].tolist()}")
         self.nodes = nodes
+
+    def relabel(self, cells: np.ndarray) -> "PredictorError":
+        """The same error with cell i renamed ``cells[i]`` (a batch of cells
+        gathered from a larger array names them by their index there)."""
+        nodes = self.nodes.copy()
+        nodes[:, 0] = cells[nodes[:, 0]]
+        return PredictorError(nodes)
 
 
 @dataclass(frozen=True)
@@ -86,15 +95,14 @@ def initial_guess(system: HyperbolicSystem, W_nodal: np.ndarray,
     rhs = W_nodal[:, :, None, :] + tau * (affine - adv)[:, :, None, :]
     mats = np.eye(m) - tau[..., None] * b_w[:, :, None, :, :]
     w_nodes = np.broadcast_to(W_nodal[:, :, None, :], rhs.shape)
-    det = np.linalg.det(mats)
-    good = np.abs(det) > np.finfo(float).tiny
+    good = np.abs(_det(mats)) > np.finfo(float).tiny
     out = w_nodes.copy()
     if good.all():
-        out = np.linalg.solve(mats, rhs[..., None])[..., 0]
+        out = _solve(mats, rhs)
     elif good.any():
         warnings.warn("stiff-initialization failure: singular [I - tau B], "
                       "falling back to Q = W at the affected nodes")
-        out[good] = np.linalg.solve(mats[good], rhs[good][..., None])[..., 0]
+        out[good] = _solve(mats[good], rhs[good])
     # The linearized solve only stabilizes when the relaxation is
     # dissipative; near an anti-dissipative equilibrium (tau B -> 1) it
     # amplifies instead of damping, so such nodes also fall back to W.
@@ -155,11 +163,11 @@ def residual_and_jacobian(stack: NodeDerivativeStack, C: CKCoefficients,
         contrib = ck[..., None] * b_pow
         implicit_weight = contrib if implicit_weight is None else implicit_weight + contrib
         if k < M:
-            b_pow = b_pow @ stack.B
+            b_pow = _matmul(b_pow, stack.B)
     if source_free:
         return h, None
     h = h + _matvec(implicit_weight, stack.S)
-    jac = np.eye(m) + implicit_weight @ stack.B
+    jac = np.eye(m) + _matmul(implicit_weight, stack.B)
     return h, jac
 
 
@@ -176,11 +184,10 @@ def newton_sweep(stack: NodeDerivativeStack, C: CKCoefficients,
     if jac is None:   # source-free: the system is affine with unit Jacobian
         return stack.Q - h, cell_res
     try:
-        delta = np.linalg.solve(jac, h[..., None])[..., 0]
+        delta = _solve(jac, h)
     except np.linalg.LinAlgError:
-        det = np.linalg.det(jac)
         raise PredictorError(
-            np.argwhere(~(np.abs(det) > np.finfo(float).tiny))) from None
+            np.argwhere(~(np.abs(_det(jac)) > np.finfo(float).tiny))) from None
     return stack.Q - delta, cell_res
 
 
@@ -214,8 +221,7 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
         try:
             q_new, cell_res = newton_sweep(stack, C, W_nodal[cells], grid)
         except PredictorError as exc:    # locate the cell within the batch
-            exc.nodes[:, 0] = cells[exc.nodes[:, 0]]
-            raise PredictorError(exc.nodes) from None
+            raise exc.relabel(cells) from None
         residuals.append(float(cell_res.max()))
         updating = cell_res > cfg.residual_tol
         cells = cells[updating]

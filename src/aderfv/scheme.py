@@ -31,7 +31,7 @@ from typing import Callable, Optional, TextIO
 import numpy as np
 
 from .nodes import NodeGrid, build_grid, gauss_legendre, newton_cotes_weights, SUPPORTED_M
-from .predictor import PredictorConfig, predictor_solve
+from .predictor import PredictorConfig, PredictorError, predictor_solve
 from .systems import HyperbolicSystem, InadmissibleStateError
 from .weno import CellField, ReconstructionSet, WenoConfig, reconstruct_padded
 
@@ -221,9 +221,13 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
     """Predictor over all cells, optionally split into thread blocks.
 
     The per-cell solve is independent, so the result is bitwise identical
-    for any thread count.  Each block drops its converged cells from its own
-    later sweeps; the residual trace takes per sweep the largest entry of
-    any block that ran it, i.e. the max over the cells evaluated.
+    for any thread count.  Block b takes the cells b, b + n_threads, ...:
+    the cells still updating after sweep 1 gather around fronts, and a
+    stride spreads them over the blocks where contiguous ranges would not.
+    Each block drops its converged cells from its own later sweeps; the
+    residual trace takes per sweep the largest entry of any block that ran
+    it, i.e. the max over the cells evaluated.  A ``PredictorError`` names
+    the cell by its index in ``W_nodal``.
     """
     n_threads = config.thread_count()
     n_cells = W_nodal.shape[0]
@@ -231,18 +235,21 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
         return predictor_solve(config.system, W_nodal, dxW, grid,
                                config.predictor)
 
-    bounds = np.linspace(0, n_cells, n_threads + 1, dtype=int)
-    blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    blocks = [np.arange(b, n_cells, n_threads) for b in range(n_threads)]
     q_out = np.empty(W_nodal.shape[:2] + (grid.n_time, W_nodal.shape[-1]))
     residual_lists = [None] * len(blocks)
 
-    def work(idx, lo, hi):
-        q_out[lo:hi], residual_lists[idx] = predictor_solve(
-            config.system, W_nodal[lo:hi], dxW[lo:hi], grid, config.predictor)
+    def work(idx, cells):
+        try:
+            q_out[cells], residual_lists[idx] = predictor_solve(
+                config.system, W_nodal[cells], dxW[cells], grid,
+                config.predictor)
+        except PredictorError as exc:
+            raise exc.relabel(cells) from None
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = [pool.submit(work, i, lo, hi)
-                   for i, (lo, hi) in enumerate(blocks)]
+        futures = [pool.submit(work, i, cells)
+                   for i, cells in enumerate(blocks)]
         for fut in futures:
             fut.result()
     n_sweeps = max(len(r) for r in residual_lists)
@@ -256,7 +263,8 @@ def nodal_solution(field: CellField, config: RunConfig, grid: NodeGrid):
 
     Transition cells take the two-state solution; every other cell goes
     through the predictor.  Returns the values and the predictor residual
-    trace.
+    trace.  A ``PredictorError`` names the mesh cell (-1 and N are the ghost
+    cells).
     """
     M = config.M
     coeffs = reconstruct_padded(field.extended(M + 1), M, config.weno)
@@ -265,12 +273,16 @@ def nodal_solution(field: CellField, config: RunConfig, grid: NodeGrid):
     dxW = recon.evaluate(grid.xi, l=1) / field.dx
 
     flags = transition_cells(field, config.system, W_nodal, grid.dt)
-    if not flags.any():
-        return _predict(config, W_nodal, dxW, grid)
-    keep = ~flags
-    q_nodal = np.empty(W_nodal.shape[:2] + (grid.n_time, W_nodal.shape[-1]))
-    q_nodal[flags] = two_state_nodes(field, config.system, flags, grid)
-    q_nodal[keep], residuals = _predict(config, W_nodal[keep], dxW[keep], grid)
+    cells = np.flatnonzero(~flags)
+    try:
+        if cells.size == flags.size:
+            return _predict(config, W_nodal, dxW, grid)
+        q_nodal = np.empty(W_nodal.shape[:2] + (grid.n_time, W_nodal.shape[-1]))
+        q_nodal[flags] = two_state_nodes(field, config.system, flags, grid)
+        q_nodal[cells], residuals = _predict(config, W_nodal[cells],
+                                             dxW[cells], grid)
+    except PredictorError as exc:
+        raise exc.relabel(cells - 1) from None
     return q_nodal, residuals
 
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aderfv.ck import (CKCoefficients, NodeDerivativeStack, binom,
-                       leibniz_expand, m_vector, matrix_c, matrix_d,
-                       pascal_coeffs, taylor_terms)
+from aderfv.ck import (CKCoefficients, NodeDerivativeStack, _det, _matmul,
+                       _matvec, _solve, binom, leibniz_expand, m_vector,
+                       matrix_c, matrix_d, pascal_coeffs, taylor_terms)
 from aderfv.nodes import build_grid
 
 RNG = np.random.default_rng(7)
@@ -450,3 +450,51 @@ def test_leibniz_matrix_vector_variant():
 
     with pytest.raises(ValueError):
         leibniz_expand(2, a_derivs[:2], b_derivs)
+
+
+def _wide_range(rng, shape):
+    """Random entries of both signs spread over 24 decades, some exactly 0."""
+    out = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+    out[rng.random(shape) < 0.05] = 0.0
+    return out
+
+
+def test_scalar_small_matrix_algebra_matches_linalg():
+    """At m = 1 the helpers multiply and divide elementwise; they agree with
+    batched matmul and LAPACK to 1 ulp, broadcasting over leading axes."""
+    rng = np.random.default_rng(11)
+    a = _wide_range(rng, (40, 3, 2, 1, 1))
+    b = _wide_range(rng, (40, 3, 2, 1, 1))
+    v = _wide_range(rng, (40, 3, 2, 1))
+    a[5, 1, 0] = 0.0
+    np.testing.assert_array_max_ulp(_matvec(a, v), (a @ v[..., None])[..., 0],
+                                    maxulp=1)
+    np.testing.assert_array_max_ulp(_matmul(a, b), a @ b, maxulp=1)
+    np.testing.assert_array_max_ulp(_matvec(a[0, 0, 0], v),
+                                    (a[0, 0, 0] @ v[..., None])[..., 0],
+                                    maxulp=1)
+    nonzero = np.where(a == 0.0, 1.0, a)
+    np.testing.assert_array_max_ulp(
+        _solve(nonzero, v), np.linalg.solve(nonzero, v[..., None])[..., 0],
+        maxulp=1)
+    assert np.array_equal(_det(a), a[..., 0, 0])
+    assert np.array_equal(np.sign(_det(a)), np.sign(np.linalg.det(a)))
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve(a, v)
+
+
+def test_small_matrix_algebra_is_linalg_for_systems():
+    rng = np.random.default_rng(12)
+    for m in (2, 3):
+        a = rng.standard_normal((6, 2, m, m))
+        b = rng.standard_normal((6, 2, m, m))
+        v = rng.standard_normal((6, 2, m))
+        assert np.array_equal(_matvec(a, v), (a @ v[..., None])[..., 0])
+        assert np.array_equal(_matmul(a, b), a @ b)
+        assert np.array_equal(_solve(a, v),
+                              np.linalg.solve(a, v[..., None])[..., 0])
+        assert np.array_equal(_det(a), np.linalg.det(a))
+        singular = a.copy()
+        singular[3, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(singular, v)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from aderfv.nodes import (build_grid, gauss_legendre, newton_cotes_weights,
-                          space_derivative, space_nodes, time_derivative)
+from aderfv.nodes import (_apply, build_grid, gauss_legendre,
+                          newton_cotes_weights, space_derivative, space_nodes,
+                          time_derivative)
 
 SQRT3 = math.sqrt(3.0)
 SQRT15 = math.sqrt(15.0)
@@ -186,3 +187,26 @@ def test_gauss_legendre_interval_mapping():
     x, w = gauss_legendre(5, -0.5, 0.5)
     assert abs(w.sum() - 1.0) < 1e-14
     assert abs(float(w @ x**4) - (0.5**5 - (-0.5) ** 5) / 5) < 1e-15
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_apply_matches_literal_node_sum(M):
+    """_apply contracts the node axis: out[.., p, ..] = sum_q mat[p, q]
+    values[.., q, ..], for vector and matrix node data on both axes."""
+    grid = build_grid(M, 0.1, 0.01)
+    rng = np.random.default_rng(M)
+    for trailing in ((2,), (2, 2), (1,), (1, 1)):
+        values = rng.standard_normal((5, grid.n_space, grid.n_time) + trailing)
+        for axis, mats in ((1, grid.space_diff), (2, grid.time_diff)):
+            for mat in mats:
+                got = _apply(mat, values, axis)
+                moved = np.moveaxis(values, axis, 0)
+                want = np.zeros_like(moved)
+                for p in range(mat.shape[0]):
+                    for q in range(mat.shape[1]):
+                        want[p] += mat[p, q] * moved[q]
+                want = np.moveaxis(want, 0, axis)
+                assert got.shape == values.shape
+                assert np.allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(mat).sum())
+                assert _apply(mat, values[:0], axis).shape == values[:0].shape

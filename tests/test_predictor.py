@@ -454,3 +454,25 @@ def test_predictor_error_locates_cell_in_batch(monkeypatch):
     assert sweeps[1] < w_nodal.shape[0]
     assert set(err.value.nodes[:, 0].tolist()) == {target}
     assert f"[{target}, 0, 0]" in str(err.value)
+
+
+def test_zero_scalar_jacobian_names_its_node(monkeypatch):
+    """A 1x1 Newton system that is exactly zero raises PredictorError with
+    its (cell, space node, time node)."""
+    system, grid, w_nodal, dxw = _stiff_pulse_data(2)
+    node = (90, 1, 0)
+
+    def zero_at_node(stack, C, w, tau_phys, M):
+        h, jac = residual_and_jacobian(stack, C, w, tau_phys, M)
+        jac = jac.copy()
+        jac[node] = 0.0
+        return h, jac
+
+    monkeypatch.setattr(predictor, "residual_and_jacobian", zero_at_node)
+    stack = populate_stacks(system, initial_guess(system, w_nodal, dxw, grid),
+                            grid)
+    C = matrix_c(stack, grid.M, grid, time_axis=2)
+    with pytest.raises(PredictorError) as err:
+        newton_sweep(stack, C, w_nodal, grid)
+    assert err.value.nodes.tolist() == [list(node)]
+    assert "[90, 1, 0]" in str(err.value)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from aderfv import scheme
+from aderfv import predictor, scheme
 from aderfv.harness import build_config, make_case
 from aderfv.nodes import build_grid
-from aderfv.predictor import predictor_solve
+from aderfv.predictor import (PredictorError, predictor_solve,
+                              residual_and_jacobian)
 from aderfv.scheme import (RunConfig, SchemeError, cell_source, cfl_timestep,
                            interface_flux, nodal_solution, project_initial,
                            run, rusanov_flux, step, transition_cells)
@@ -312,6 +313,33 @@ def test_residual_trace_kept_and_thread_independent():
         assert all(res.predictor_residuals)
         traces.append(res.predictor_residuals)
     assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 3])
+def test_predictor_error_names_mesh_cell(monkeypatch, n_threads):
+    """A singular Newton system in one cell is reported by its mesh index at
+    any thread count, although each thread block holds every n-th cell."""
+    n, target = 120, 90
+    avg = np.zeros((n, 1))
+    avg[30:90] = 1.0
+    avg[29], avg[90] = 0.3, 0.7
+    field = CellField(n, 1.0 / n, 0.0, avg, "transmissive")
+    cfg = make_config(leveque_yee_system(-1000.0), None, 3, n,
+                      boundary="transmissive", cfl=0.2, n_threads=n_threads)
+    grid = build_grid(2, field.dx, 0.2 * field.dx)
+    coeffs = reconstruct_padded(field.extended(3), 2)
+    w_target = ReconstructionSet(2, coeffs).evaluate(grid.xi)[target + 1]
+
+    def singular_at_target(stack, C, w, tau_phys, M):
+        h, jac = residual_and_jacobian(stack, C, w, tau_phys, M)
+        rows = np.all(w == w_target, axis=(1, 2))
+        assert rows.sum() <= 1
+        return h, np.where(rows[:, None, None, None, None], 0.0, jac)
+
+    monkeypatch.setattr(predictor, "residual_and_jacobian", singular_at_target)
+    with pytest.raises(PredictorError) as err:
+        nodal_solution(field, cfg, grid)
+    assert set(err.value.nodes[:, 0].tolist()) == {target}
 
 
 def test_thread_count_env_variable(monkeypatch):
