@@ -221,13 +221,10 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
     """Predictor over all cells, optionally split into thread blocks.
 
     The per-cell solve is independent, so the result is bitwise identical
-    for any thread count.  Block b takes the cells b, b + n_threads, ...:
-    the cells still updating after sweep 1 gather around fronts, and a
-    stride spreads them over the blocks where contiguous ranges would not.
-    Each block drops its converged cells from its own later sweeps; the
-    residual trace takes per sweep the largest entry of any block that ran
-    it, i.e. the max over the cells evaluated.  A ``PredictorError`` names
-    the cell by its index in ``W_nodal``.
+    for any thread count.  Each block drops its converged cells from its own
+    later sweeps; the residual trace takes per sweep the largest entry of
+    any block that ran it, i.e. the max over the cells evaluated.  A
+    ``PredictorError`` names the cell by its index in ``W_nodal``.
     """
     n_threads = config.thread_count()
     n_cells = W_nodal.shape[0]
@@ -235,21 +232,22 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
         return predictor_solve(config.system, W_nodal, dxW, grid,
                                config.predictor)
 
-    blocks = [np.arange(b, n_cells, n_threads) for b in range(n_threads)]
+    bounds = np.linspace(0, n_cells, n_threads + 1, dtype=int)
+    blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     q_out = np.empty(W_nodal.shape[:2] + (grid.n_time, W_nodal.shape[-1]))
     residual_lists = [None] * len(blocks)
 
-    def work(idx, cells):
+    def work(idx, lo, hi):
         try:
-            q_out[cells], residual_lists[idx] = predictor_solve(
-                config.system, W_nodal[cells], dxW[cells], grid,
+            q_out[lo:hi], residual_lists[idx] = predictor_solve(
+                config.system, W_nodal[lo:hi], dxW[lo:hi], grid,
                 config.predictor)
         except PredictorError as exc:
-            raise exc.relabel(cells) from None
+            raise exc.relabel(np.arange(lo, hi)) from None
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = [pool.submit(work, i, cells)
-                   for i, cells in enumerate(blocks)]
+        futures = [pool.submit(work, i, lo, hi)
+                   for i, (lo, hi) in enumerate(blocks)]
         for fut in futures:
             fut.result()
     n_sweeps = max(len(r) for r in residual_lists)

@@ -11,11 +11,7 @@ Reconstruction is component-wise and conservative by construction.
 
 ``reconstruct_padded`` evaluates the indicators in component-major layout,
 (m, k, N) with the cells innermost, where one einsum over all cells is
-cheapest; the candidates stay cell-major, (N, k, m).  Where the weights of a
-cell overflow (sigma beyond ~1e38, data that has already blown up), they
-are formed again from sigma normalised by that cell's smallest indicator,
-so the coefficients stay finite and conservative; other cells keep the
-plain formula's bits.
+cheapest; the candidates stay cell-major, (N, k, m).
 """
 from __future__ import annotations
 
@@ -136,37 +132,19 @@ def reconstruct_padded(avg_padded: np.ndarray, M: int,
     if n_out < 1:
         raise ValueError("padded array too short for the stencil width")
 
-    cands, lams, sigmas = [], [], []
+    num = 0.0
+    den = 0.0
     for start, coeff_map, is_central in maps:
         width = coeff_map.shape[1]
         vals = np.stack([avg_padded[M + start + j: M + start + j + n_out]
                          for j in range(width)], axis=1)
         cand = np.einsum("kc,Ncm->Nkm", coeff_map, vals)
         by_component = np.ascontiguousarray(cand.transpose(2, 1, 0))
-        cands.append(cand)
-        lams.append(cfg.lambda_central if is_central else cfg.lambda_sided)
-        sigmas.append(np.einsum("mkN,kl,mlN->mN", by_component, osc,
-                                by_component))
-    with np.errstate(over="ignore"):
-        weights = [lam / (sigma + cfg.eps) ** cfg.power
-                   for lam, sigma in zip(lams, sigmas)]
-    # (sigma + eps)**power overflows once sigma passes ~1e38: the weight is
-    # then 0 or below the smallest normal float, and where every weight of a
-    # cell is lost the sum below is 0/0.  Such cells get their weights again
-    # from sigma + eps divided by its smallest value over the stencils: the
-    # same normalised weights, with the largest one at lambda.
-    lost = np.min(weights, axis=0) < np.finfo(float).tiny
-    if lost.any():
-        scaled = [sigma[lost] + cfg.eps for sigma in sigmas]
-        base = np.min(scaled, axis=0)
-        with np.errstate(over="ignore"):
-            for w, lam, s in zip(weights, lams, scaled):
-                w[lost] = lam / (s / base) ** cfg.power
-    num = 0.0
-    den = 0.0
-    for cand, w in zip(cands, weights):
-        num = num + w.T[:, None, :] * cand
-        den = den + w.T
+        sigma = np.einsum("mkN,kl,mlN->mN", by_component, osc, by_component)
+        lam = cfg.lambda_central if is_central else cfg.lambda_sided
+        w = (lam / (sigma + cfg.eps) ** cfg.power).T
+        num = num + w[:, None, :] * cand
+        den = den + w
     return num / den[:, None, :]
 
 

@@ -318,7 +318,8 @@ def test_residual_trace_kept_and_thread_independent():
 @pytest.mark.parametrize("n_threads", [1, 2, 3])
 def test_predictor_error_names_mesh_cell(monkeypatch, n_threads):
     """A singular Newton system in one cell is reported by its mesh index at
-    any thread count, although each thread block holds every n-th cell."""
+    any thread count, although a thread block counts its cells from its own
+    first one."""
     n, target = 120, 90
     avg = np.zeros((n, 1))
     avg[30:90] = 1.0

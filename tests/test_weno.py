@@ -169,14 +169,12 @@ def test_weights_prefer_smooth_sided_stencil_at_jump():
     assert abs(recon.coeffs[9, 0, 0] - 2.0) < 1e-6
 
 
-def cell_major_reference(avg_padded, M, log_weights=False):
+def cell_major_reference(avg_padded, M):
     """reconstruct_padded with the oscillation indicators in cell-major
-    layout, (N, k, m).  ``log_weights`` forms the normalised weights from
-    log(lambda) - power * log(sigma + eps), which cannot overflow."""
+    layout, (N, k, m)."""
     cfg = WenoConfig()
     maps, osc = _stencil_tables(M)
     n_out = avg_padded.shape[0] - 2 * M
-    cands, logs = [], []
     num = 0.0
     den = 0.0
     for start, coeff_map, is_central in maps:
@@ -185,25 +183,10 @@ def cell_major_reference(avg_padded, M, log_weights=False):
         cand = np.einsum("kc,Ncm->Nkm", coeff_map, vals)
         sigma = np.einsum("Nkm,kl,Nlm->Nm", cand, osc, cand)
         lam = cfg.lambda_central if is_central else cfg.lambda_sided
-        cands.append(cand)
-        logs.append(np.log(lam) - cfg.power * np.log(sigma + cfg.eps))
-        if not log_weights:
-            w = lam / (sigma + cfg.eps) ** cfg.power
-            num = num + w[:, None, :] * cand
-            den = den + w
-    if log_weights:
-        top = np.max(logs, axis=0)
-        for cand, log_w in zip(cands, logs):
-            w = np.exp(log_w - top)
-            num = num + w[:, None, :] * cand
-            den = den + w
+        w = lam / (sigma + cfg.eps) ** cfg.power
+        num = num + w[:, None, :] * cand
+        den = den + w
     return num / den[:, None, :]
-
-
-def cell_means(coeffs):
-    k = np.arange(coeffs.shape[1])
-    moments = (0.5 ** (k + 1) - (-0.5) ** (k + 1)) / (k + 1)
-    return np.einsum("k,Nkm->Nm", moments, coeffs)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
@@ -215,51 +198,3 @@ def test_component_major_sigma_matches_cell_major_bitwise(M, m):
         avg[rng.random(avg.shape) < 0.3] = 0.0      # flat runs: sigma = 0
         assert np.array_equal(reconstruct_padded(avg, M),
                               cell_major_reference(avg, M))
-
-
-# Averages around cell 20 of LeVeque-Yee (beta = -1000, order 4, 60 cells,
-# CFL 0.2) entering step 12, when the unconverged predictor had blown the
-# solution up: (sigma + eps)**8 overflowed in every stencil of cell 20 and
-# its weights divided 0/0.
-SPIKE = np.array([1.0] * 6 + [5.06e10, 1.857e29, -8.067e8, 3.789, -1.472e-3]
-                 + [0.0] * 6)[:, None]
-
-
-def test_overflowing_weights_are_renormalised():
-    M = 3
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(cell_major_reference(SPIKE, M)).any()
-    coeffs = reconstruct_padded(SPIKE, M)
-    assert np.isfinite(coeffs).all()
-    want = cell_major_reference(SPIKE, M, log_weights=True)
-    scale = np.max(np.abs(want), axis=1, keepdims=True)
-    assert np.all(np.abs(coeffs - want) <= 1e-12 * scale)
-    window = np.array([np.max(np.abs(SPIKE[i:i + 2 * M + 1]))
-                       for i in range(len(SPIKE) - 2 * M)])
-    assert np.all(np.abs(cell_means(coeffs)[:, 0] - SPIKE[M:-M, 0])
-                  <= 1e-12 * window)
-    # cells whose stencils miss the 1.857e29 average keep the plain bits
-    with np.errstate(over="ignore", invalid="ignore"):
-        plain = cell_major_reference(SPIKE, M)
-    far = [i for i in range(len(window)) if not i <= 7 <= i + 2 * M]
-    assert far and np.array_equal(coeffs[far], plain[far])
-
-
-extreme_floats = st.one_of(
-    st.floats(-1e100, 1e100, allow_nan=False),
-    st.sampled_from([0.0, 1.0, -1e100, 1e100, 1e-300, 3e37, -7e60]))
-
-
-@given(st.integers(1, 4), st.integers(1, 2), st.integers(1, 5), st.data())
-@settings(max_examples=200, deadline=None)
-def test_extreme_averages_give_finite_conservative_coefficients(M, m, n_out,
-                                                                data):
-    values = data.draw(st.lists(extreme_floats, min_size=(n_out + 2 * M) * m,
-                                max_size=(n_out + 2 * M) * m))
-    avg = np.array(values).reshape(n_out + 2 * M, m)
-    coeffs = reconstruct_padded(avg, M)
-    assert np.isfinite(coeffs).all()
-    window = np.array([np.max(np.abs(avg[i:i + 2 * M + 1]), axis=0)
-                       for i in range(n_out)])
-    assert np.all(np.abs(cell_means(coeffs) - avg[M:-M])
-                  <= 1e-11 * window + 1e-300)

@@ -1,9 +1,9 @@
 """sha256 digests of solver results, for bitwise comparison of two checkouts.
 
-    python3 tools/digests.py [--seeds 401 402] [--group bench stiff csv]
+    python3 tools/digests.py [--seeds 401 402]
 
 Run it in each checkout and diff the outputs: equal lines mean bitwise-equal
-results.  Each line is ``<sha256>  <name>``.  Groups:
+results.  Each line is ``<sha256>  <name>``, in three groups:
 
 * ``bench`` -- final averages and per-step predictor residual traces of the
   ``perfbench`` workloads stiff-o3, shock-o3 and euler-o5, per seed (the
@@ -95,13 +95,9 @@ def csv_lines():
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[401, 402])
-    parser.add_argument("--group", nargs="+", choices=("bench", "stiff", "csv"),
-                        default=["bench", "stiff", "csv"])
     args = parser.parse_args()
-    groups = {"bench": lambda: bench_lines(args.seeds),
-              "stiff": stiff_lines, "csv": csv_lines}
-    for group in args.group:
-        for line in groups[group]():
+    for lines in (bench_lines(args.seeds), stiff_lines(), csv_lines()):
+        for line in lines:
             print(line, flush=True)
     return 0
 
