@@ -23,8 +23,10 @@ All m x m algebra of the solver goes through the batched helpers
 ``_matvec``, ``_matmul``, ``_solve`` and ``_det``.  At m = 1 (scalar laws)
 they multiply and divide elementwise, which skips the per-matrix dispatch of
 ``@`` and LAPACK and gives the same values (the sign of an exact zero
-product aside).  For m > 1 they are ``@``, ``np.linalg.solve`` and
-``np.linalg.det``.
+product aside).  For m > 1, ``_matvec`` sums the m column products
+``mat[..., j] * vec[..., j]`` over all nodes at once (the same values as
+``@`` up to the order of the sum); the others are ``@``,
+``np.linalg.solve`` and ``np.linalg.det``.
 """
 from __future__ import annotations
 
@@ -63,7 +65,10 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Batched m x m matrix times m-vector."""
     if mat.shape[-1] == 1:
         return mat[..., 0] * vec
-    return (mat @ vec[..., None])[..., 0]
+    out = mat[..., 0] * vec[..., 0, None]
+    for j in range(1, mat.shape[-1]):
+        out += mat[..., j] * vec[..., j, None]
+    return out
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,6 +6,10 @@ nodes on [0, 1] (a single midpoint node for M = 1).  Spatial and temporal
 derivatives of nodal data are obtained by differentiating the unique
 interpolating polynomial through the nodes; the stencil weights are generated
 once per order by solving the interpolation (Vandermonde) conditions.
+
+A derivative contracts the node axis of C-contiguous nodal data with its
+stencil matrix: one matrix product when only unit axes follow the node axis
+(the time axis at m = 1), else one 2-D product per leading index.
 """
 from __future__ import annotations
 
@@ -121,15 +125,20 @@ def build_grid(M: int, dx: float, dt: float) -> NodeGrid:
 
 
 def _apply(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
-    # Contract the node axis with the stencil matrix as a stack of 2-D
-    # products on contiguous data: mat times the (nodes, rest) slab of every
-    # leading index.  Matmul over a swapped, strided last axis instead
-    # measured up to 10x slower on these small tensors (m = 3 matrix data).
+    # Contract the node axis with the stencil matrix on contiguous data.
+    # With nothing after the node axis (the time axis at m = 1) the data is a
+    # (lead, nodes) matrix and the contraction one product with mat.T.
+    # Otherwise it is a stack of 2-D products, mat times the (nodes, rest)
+    # slab of every leading index; matmul over a swapped, strided last axis
+    # instead measured up to 10x slower on these small tensors (m = 3
+    # matrix data).
     shape = values.shape
     axis %= len(shape)
-    slabs = np.ascontiguousarray(values).reshape(
-        math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
-    return (mat @ slabs).reshape(shape)
+    lead, rest = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+    data = np.ascontiguousarray(values)
+    if rest == 1:
+        return (data.reshape(lead, shape[axis]) @ mat.T).reshape(shape)
+    return (mat @ data.reshape(lead, shape[axis], rest)).reshape(shape)
 
 
 def space_derivative(values: np.ndarray, l: int, grid: NodeGrid,

@@ -38,20 +38,27 @@ class PredictorError(RuntimeError):
     ``nodes`` holds the (cell, space node, time node) indices of the singular
     systems, the cell counted within the batch passed to the predictor;
     :func:`relabel` maps it to the array the batch was gathered from (the
-    scheme names the mesh cell).
+    scheme names the mesh cell).  ``step`` is the 1-based time step of the
+    run that raised it, or None below ``scheme.run``.
     """
 
-    def __init__(self, nodes: np.ndarray):
-        super().__init__("singular Newton system at (cell, space node, time "
-                         f"node) indices {nodes[:10].tolist()}")
+    def __init__(self, nodes: np.ndarray, step: int | None = None):
+        where = "" if step is None else f" in step {step}"
+        super().__init__(f"singular Newton system{where} at (cell, space "
+                         f"node, time node) indices {nodes[:10].tolist()}")
         self.nodes = nodes
+        self.step = step
 
     def relabel(self, cells: np.ndarray) -> "PredictorError":
         """The same error with cell i renamed ``cells[i]`` (a batch of cells
         gathered from a larger array names them by their index there)."""
         nodes = self.nodes.copy()
         nodes[:, 0] = cells[nodes[:, 0]]
-        return PredictorError(nodes)
+        return PredictorError(nodes, self.step)
+
+    def at_step(self, step: int) -> "PredictorError":
+        """The same error, naming the time step it was raised in."""
+        return PredictorError(self.nodes, step)
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,8 @@ def initial_guess(system: HyperbolicSystem, W_nodal: np.ndarray,
     with tau the physical time offset.  The affine source terms vanish for
     linear sources but are essential near equilibria of nonlinear ones
     (constant data with S(W) = 0 must yield Q = W exactly).  A singular or
-    amplifying matrix falls back to Q = W with a warning.
+    amplifying matrix falls back to Q = W; a singular one also warns, whether
+    it holds at some nodes or at all of them.
     """
     m = W_nodal.shape[-1]
     tau = (grid.tau * grid.dt)[None, None, :, None]
@@ -99,10 +107,11 @@ def initial_guess(system: HyperbolicSystem, W_nodal: np.ndarray,
     out = w_nodes.copy()
     if good.all():
         out = _solve(mats, rhs)
-    elif good.any():
+    else:
         warnings.warn("stiff-initialization failure: singular [I - tau B], "
                       "falling back to Q = W at the affected nodes")
-        out[good] = _solve(mats[good], rhs[good])
+        if good.any():
+            out[good] = _solve(mats[good], rhs[good])
     # The linearized solve only stabilizes when the relaxation is
     # dissipative; near an anti-dissipative equilibrium (tau B -> 1) it
     # amplifies instead of damping, so such nodes also fall back to W.

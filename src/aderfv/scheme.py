@@ -115,9 +115,11 @@ def interface_flux(left_trace: np.ndarray, right_trace: np.ndarray,
 def cell_source(q_nodal: np.ndarray, system: HyperbolicSystem,
                 grid: NodeGrid) -> np.ndarray:
     """Newton-Cotes (space) x Gauss (time) quadrature of S over the nodes."""
-    w_space = newton_cotes_weights(grid.M + 1)
+    weights = np.outer(newton_cotes_weights(grid.M + 1), grid.tau_weights)
     s_nodal = system.source(q_nodal)
-    return np.einsum("s,j,nsjm->nm", w_space, grid.tau_weights, s_nodal)
+    n, n_s, n_t, m = s_nodal.shape
+    return np.einsum("q,nqm->nm", weights.ravel(),
+                     s_nodal.reshape(n, n_s * n_t, m))
 
 
 def cfl_timestep(field: CellField, system: HyperbolicSystem, cfl: float) -> float:
@@ -338,7 +340,8 @@ def run(config: RunConfig, log_stream: Optional[TextIO] = None) -> RunResult:
 
     Writes a line ``t dt lambda_abs`` per step to ``log_stream`` when one is
     given; the final step is clipped to land exactly on t_out.  The result
-    keeps each step's predictor residual trace.
+    keeps each step's predictor residual trace.  A ``PredictorError`` names
+    the step (counted from 1) and the mesh cell.
     """
     field_now = project_initial(config.initial, config.n_cells, config.x_left,
                                 config.dx, config.boundary)
@@ -353,7 +356,10 @@ def run(config: RunConfig, log_stream: Optional[TextIO] = None) -> RunResult:
         if log_stream is not None:
             lam = config.cfl * field_now.dx / dt_cfl
             log_stream.write(f"{t:.8e} {dt:.8e} {lam:.8e}\n")
-        field_now, residuals = step(field_now, config, dt)
+        try:
+            field_now, residuals = step(field_now, config, dt)
+        except PredictorError as exc:
+            raise exc.at_step(n_steps + 1) from None
         if not np.all(np.isfinite(field_now.averages)):
             bad = np.argwhere(~np.isfinite(field_now.averages))[:5]
             raise SchemeError(

@@ -9,9 +9,11 @@ for M >= 2.  The weights follow the standard finite-volume WENO recipe
 ``sigma_s`` summing integrals of squared derivatives of the candidate.
 Reconstruction is component-wise and conservative by construction.
 
-``reconstruct_padded`` evaluates the indicators in component-major layout,
-(m, k, N) with the cells innermost, where one einsum over all cells is
-cheapest; the candidates stay cell-major, (N, k, m).
+``reconstruct_padded`` works coefficient-major: the candidates, indicators
+and weights of a stencil are (k, N*m) arrays with the cells and components
+flattened innermost, so each candidate set is one matrix product and each
+indicator ``sum_k c_k (osc c)_k`` one more; the result is transposed once to
+the public (N, M+1, m).
 """
 from __future__ import annotations
 
@@ -132,20 +134,23 @@ def reconstruct_padded(avg_padded: np.ndarray, M: int,
     if n_out < 1:
         raise ValueError("padded array too short for the stencil width")
 
+    # The 2M+1 shifted windows, flattened to (2M+1, N*m): a stencil's window
+    # averages are then a contiguous slice of rows, and each of its products
+    # is one matrix product over all cells and components at once.
+    windows = np.stack([avg_padded[j: j + n_out] for j in range(2 * M + 1)])
+    windows = windows.reshape(2 * M + 1, -1)
     num = 0.0
     den = 0.0
     for start, coeff_map, is_central in maps:
         width = coeff_map.shape[1]
-        vals = np.stack([avg_padded[M + start + j: M + start + j + n_out]
-                         for j in range(width)], axis=1)
-        cand = np.einsum("kc,Ncm->Nkm", coeff_map, vals)
-        by_component = np.ascontiguousarray(cand.transpose(2, 1, 0))
-        sigma = np.einsum("mkN,kl,mlN->mN", by_component, osc, by_component)
+        cand = coeff_map @ windows[M + start: M + start + width]
+        sigma = np.sum(cand * (osc @ cand), axis=0)
         lam = cfg.lambda_central if is_central else cfg.lambda_sided
-        w = (lam / (sigma + cfg.eps) ** cfg.power).T
-        num = num + w[:, None, :] * cand
+        w = lam / (sigma + cfg.eps) ** cfg.power
+        num = num + w * cand
         den = den + w
-    return num / den[:, None, :]
+    coeffs = (num / den).reshape(M + 1, n_out, -1)
+    return np.ascontiguousarray(coeffs.transpose(1, 0, 2))
 
 
 class ReconstructionSet:
@@ -158,7 +163,8 @@ class ReconstructionSet:
     def evaluate(self, xi, l: int = 0) -> np.ndarray:
         """Values (or l-th xi-derivatives) at reference point(s) xi.
 
-        Scalar xi gives (N, m); a 1-D array of G points gives (N, G, m).
+        Scalar xi gives (N, m); a 1-D array of G points gives (N, G, m), both
+        C-contiguous.
         Derivatives are in reference coordinates (physical ones carry the
         caller-applied factor dx**-l); orders beyond the degree are exactly
         zero.
@@ -166,7 +172,10 @@ class ReconstructionSet:
         if l < 0:
             raise ValueError("derivative order must be non-negative")
         basis = _basis(np.atleast_1d(np.asarray(xi, dtype=float)), self.M, l)
-        out = np.einsum("gk,Nkm->Ngm", basis, self.coeffs)
+        # one product over all cells, (G, N, m); the copy to C order pays for
+        # itself in the flux Jacobians and derivative stacks that read it
+        out = np.ascontiguousarray(
+            np.tensordot(basis, self.coeffs, axes=(1, 1)).transpose(1, 0, 2))
         return out[:, 0] if np.ndim(xi) == 0 else out
 
 

@@ -484,12 +484,20 @@ def test_scalar_small_matrix_algebra_matches_linalg():
 
 
 def test_small_matrix_algebra_is_linalg_for_systems():
+    """At m = 2, 3 the helpers are linalg; ``_matvec`` sums column products,
+    so it matches ``@`` within 1e-13 of the reference's max |value|."""
     rng = np.random.default_rng(12)
     for m in (2, 3):
         a = rng.standard_normal((6, 2, m, m))
         b = rng.standard_normal((6, 2, m, m))
         v = rng.standard_normal((6, 2, m))
-        assert np.array_equal(_matvec(a, v), (a @ v[..., None])[..., 0])
+        want = (a @ v[..., None])[..., 0]
+        assert np.max(np.abs(_matvec(a, v) - want)) \
+            <= 1e-13 * np.max(np.abs(want))
+        # leading axes broadcast as with @
+        want = (a[:, :1] @ v[..., None])[..., 0]
+        assert np.max(np.abs(_matvec(a[:, :1], v) - want)) \
+            <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(_matmul(a, b), a @ b)
         assert np.array_equal(_solve(a, v),
                               np.linalg.solve(a, v[..., None])[..., 0])

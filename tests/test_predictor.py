@@ -85,6 +85,26 @@ def test_initial_guess_falls_back_near_singular_linearization():
     assert np.max(np.abs(q - 0.65)) < 10.0 * (1.0 + 0.65) + 1e-9
 
 
+def test_initial_guess_warns_when_every_node_is_singular():
+    """[I - tau B] singular at all nodes warns as it does at some of them.
+
+    M = 1 has the single time node tau = 1/2, so B = 2/dt makes every 1x1
+    matrix exactly zero (B = 4096 at q = 1/2 for beta = -16384; powers of
+    two keep tau dt B exactly 1)."""
+    system = leveque_yee_system(-16384.0)
+    grid = build_grid(1, 0.1, 2.0 / 4096.0)
+    w = np.full((3, 2, 1), 0.5)
+    assert np.all(system.source_jacobian(w) == 4096.0)
+    with pytest.warns(UserWarning, match="stiff-initialization failure"):
+        q = initial_guess(system, w, np.zeros_like(w), grid)
+    assert np.array_equal(q, w[:, :, None, :])
+    w[0, 0] = 0.0                     # B = -8192 there: one solvable node
+    with pytest.warns(UserWarning, match="stiff-initialization failure"):
+        q = initial_guess(system, w, np.zeros_like(w), grid)
+    assert np.array_equal(q[1:], w[1:, :, None, :])
+    assert np.all(np.isfinite(q))
+
+
 def test_populate_stacks_constant_state():
     system = euler_system(1.4)
     grid = build_grid(3, 0.1, 0.05)

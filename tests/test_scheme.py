@@ -7,7 +7,7 @@ import pytest
 
 from aderfv import predictor, scheme
 from aderfv.harness import build_config, make_case
-from aderfv.nodes import build_grid
+from aderfv.nodes import build_grid, newton_cotes_weights
 from aderfv.predictor import (PredictorError, predictor_solve,
                               residual_and_jacobian)
 from aderfv.scheme import (RunConfig, SchemeError, cell_source, cfl_timestep,
@@ -120,6 +120,25 @@ def test_cell_source_identity_source_constant_state():
     q = np.broadcast_to(c, (3, 3, grid.n_time, 2)).copy()
     got = cell_source(q, ident, grid)
     assert np.allclose(got, c, atol=1e-14)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_cell_source_matches_literal_quadrature(M):
+    """cell_source is sum_s sum_j w_s w_j S(q[n, s, j]) per cell, to
+    rounding (Newton-Cotes weights in space, Gauss weights in time)."""
+    system = leveque_yee_system(-1000.0)
+    grid = build_grid(M, 0.1, 0.02)
+    rng = np.random.default_rng(M)
+    q = rng.random((6, grid.n_space, grid.n_time, 1))
+    s_nodal = system.source(q)
+    w_space = newton_cotes_weights(M + 1)
+    want = np.zeros((6, 1))
+    for a in range(grid.n_space):
+        for j in range(grid.n_time):
+            want += w_space[a] * grid.tau_weights[j] * s_nodal[:, a, j]
+    got = cell_source(q, system, grid)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_cfl_timestep_arithmetic():
@@ -341,6 +360,34 @@ def test_predictor_error_names_mesh_cell(monkeypatch, n_threads):
     with pytest.raises(PredictorError) as err:
         nodal_solution(field, cfg, grid)
     assert set(err.value.nodes[:, 0].tolist()) == {target}
+
+
+def test_predictor_error_from_run_names_step_and_cell(monkeypatch):
+    """A singular Newton system raised from run names the 1-based step it
+    occurred in, besides the mesh cell."""
+    n = 40
+    system = leveque_yee_system(-1000.0)
+    cfg = make_config(system, lambda x: system.exact_solution(x, 0.0), 3, n,
+                      boundary="transmissive", cfl=0.2, t_out=0.1)
+    steps = []
+    real_step = scheme.step
+
+    def counting_step(*args, **kwargs):
+        steps.append(len(steps) + 1)
+        return real_step(*args, **kwargs)
+
+    def singular_from_step_3(stack, C, w, tau_phys, M):
+        h, jac = residual_and_jacobian(stack, C, w, tau_phys, M)
+        return h, jac if len(steps) < 3 else np.zeros_like(jac)
+
+    monkeypatch.setattr(scheme, "step", counting_step)
+    monkeypatch.setattr(predictor, "residual_and_jacobian", singular_from_step_3)
+    with pytest.raises(PredictorError) as err:
+        run(cfg)
+    assert err.value.step == 3
+    assert "in step 3 " in str(err.value)
+    cells = err.value.nodes[:, 0]
+    assert cells.min() >= -1 and cells.max() <= n
 
 
 def test_thread_count_env_variable(monkeypatch):

@@ -1,4 +1,6 @@
 """WENO reconstruction: conservation, exactness, accuracy, non-oscillation."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,27 @@ def test_reconstruction_set_interface():
     assert np.allclose(scalar, vals[:, 1])
 
 
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 3])
+def test_evaluate_matches_literal_basis_sum(M, m):
+    """evaluate is sum_k c_k d^l/dxi^l xi^k per cell and component, to
+    rounding, and returns C-contiguous arrays for point sets and scalars."""
+    rng = np.random.default_rng(M + 10 * m)
+    recon = ReconstructionSet(M, rng.standard_normal((7, M + 1, m)))
+    xi = np.array([-0.5, -0.1, 0.25, 0.5])
+    for l in range(M + 2):
+        want = np.zeros((7, len(xi), m))
+        for k in range(l, M + 1):
+            factor = math.perm(k, l) * xi ** (k - l)
+            want += factor[None, :, None] * recon.coeffs[:, k, None, :]
+        got = recon.evaluate(xi, l)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+        point = recon.evaluate(0.25, l)
+        assert point.flags.c_contiguous
+        assert np.allclose(point, got[:, 2], rtol=1e-13, atol=1e-13)
+
+
 def test_reconstruct_rejects_unsupported_degree():
     field = CellField(8, 0.125, 0.0, np.zeros((8, 1)))
     with pytest.raises(ValueError):
@@ -170,8 +193,8 @@ def test_weights_prefer_smooth_sided_stencil_at_jump():
 
 
 def cell_major_reference(avg_padded, M):
-    """reconstruct_padded with the oscillation indicators in cell-major
-    layout, (N, k, m)."""
+    """reconstruct_padded with candidates and oscillation indicators in
+    cell-major layout, (N, k, m), one einsum each."""
     cfg = WenoConfig()
     maps, osc = _stencil_tables(M)
     n_out = avg_padded.shape[0] - 2 * M
@@ -192,9 +215,14 @@ def cell_major_reference(avg_padded, M):
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_component_major_sigma_matches_cell_major_bitwise(M, m):
+    """The coefficient-major products agree with the cell-major einsums to
+    rounding: within 1e-13 of the reference's max |value| (the two sum in
+    different orders, so bitwise equality no longer holds)."""
     rng = np.random.default_rng(10 * M + m)
     for n_out, scale in ((1, 1.0), (7, 1e-7), (64, 1.0), (300, 1e5)):
         avg = scale * rng.standard_normal((n_out + 2 * M, m))
         avg[rng.random(avg.shape) < 0.3] = 0.0      # flat runs: sigma = 0
-        assert np.array_equal(reconstruct_padded(avg, M),
-                              cell_major_reference(avg, M))
+        want = cell_major_reference(avg, M)
+        got = reconstruct_padded(avg, M)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

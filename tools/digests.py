@@ -167,14 +167,12 @@ def compare_item(a, b, name: str) -> dict:
                else None for s in (a, b)]
     if any(aborted):
         return {"aborted": aborted, "ok": aborted[0] == aborted[1]}
-    if f"{name} table" in a.files:
-        key = f"{name} table"
-    else:
-        key = f"{name} averages"
+    is_table = f"{name} table" in a.files
+    key = f"{name} table" if is_table else f"{name} averages"
     if key not in a.files or key not in b.files:
         return {"missing": True, "ok": False}
     va, vb = a[key], b[key]
-    if key.endswith("table"):
+    if is_table:
         # columns: n_cells, then (error, EOC) for Linf, L1 and L2
         delta, rel = _max_delta(va[:, 1::2], vb[:, 1::2])
         eoc = [_max_delta(ra, rb)[0] for ra, rb in
