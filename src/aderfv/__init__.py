@@ -14,9 +14,9 @@ from .nodes import (NodeGrid, build_grid, gauss_legendre, newton_cotes_weights,
                     space_derivative, time_derivative)
 from .predictor import (PredictorConfig, PredictorError, initial_guess,
                         newton_sweep, populate_stacks, predictor_solve)
-from .scheme import (RunConfig, RunResult, SchemeError, cell_source,
-                     cfl_timestep, interface_flux, project_initial, run,
-                     rusanov_flux, step)
+from .scheme import (RunConfig, RunResult, SchemeError, StepStats,
+                     cell_source, cfl_timestep, interface_flux,
+                     project_initial, run, rusanov_flux, step)
 from .systems import (HyperbolicSystem, InadmissibleStateError, PrimitiveState,
                       RootFindError, euler_conserved_to_primitive,
                       euler_primitive_to_conserved, euler_system,

@@ -44,7 +44,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default="aderfv-out", help="output directory")
     p.add_argument("--config", help="JSON file with the same keys as the flags")
     p.add_argument("--verbose", action="store_true",
-                   help="per-step log lines (t, dt, lambda_abs) on stderr")
+                   help="after a single solve, one line per step "
+                        "(t, dt, lambda_abs) on stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -278,7 +278,9 @@ def run_preset(name: str, overrides: Optional[dict] = None,
     With ``orders``/``meshes`` overrides a convergence campaign is run and
     tables are written (aligned text plus CSV per order); otherwise a single
     solve writes the solution profile (plus the exact profile when known,
-    and the fine-mesh reference for shu-osher).  Returns the written paths.
+    and the fine-mesh reference for shu-osher) and, under ``verbose``,
+    writes a line ``t dt lambda_abs`` per step to stderr once the run has
+    returned.  Returns the written paths.
     """
     overrides = dict(overrides or {})
     if name not in PRESET_NAMES:
@@ -319,7 +321,10 @@ def run_preset(name: str, overrides: Optional[dict] = None,
     config = build_config(case, order=2 if order is None else order,
                           cells=cells, cfl=cfl, t_out=t_out,
                           boundary=boundary)
-    result = run(config, log_stream=sys.stderr if verbose else None)
+    result = run(config)
+    if verbose:
+        for rec in result.steps:
+            sys.stderr.write(f"{rec.t:.8e} {rec.dt:.8e} {rec.lam:.8e}\n")
     sol = out / "solution.dat"
     _write_profile(sol, result.field.cell_centers(), result.field.averages)
     artifacts["solution"] = sol

@@ -67,14 +67,11 @@ class PredictorConfig:
 
     The sweep budget is always M; a cell whose residual is at or below
     ``residual_tol`` stops updating and drops out of the later sweeps (no
-    accuracy change).  Each sweep records the max residual of its incoming
-    iterate over the cells it evaluated; ``monitor=True`` also evaluates the
-    residual after the final sweep over all cells (one more stack and
-    C-matrix build), so the recorded sequence covers every iterate.
+    accuracy change).  A cell still above it after sweep M keeps the values
+    of that sweep unchecked, and ``predictor_solve`` counts it.
     """
 
     residual_tol: float = 1.0e-12
-    monitor: bool = False
 
 
 def initial_guess(system: HyperbolicSystem, W_nodal: np.ndarray,
@@ -104,12 +101,12 @@ def initial_guess(system: HyperbolicSystem, W_nodal: np.ndarray,
     mats = np.eye(m) - tau[..., None] * b_w[:, :, None, :, :]
     w_nodes = np.broadcast_to(W_nodal[:, :, None, :], rhs.shape)
     good = np.abs(_det(mats)) > np.finfo(float).tiny
-    out = w_nodes.copy()
     if good.all():
         out = _solve(mats, rhs)
     else:
         warnings.warn("stiff-initialization failure: singular [I - tau B], "
                       "falling back to Q = W at the affected nodes")
+        out = w_nodes.copy()
         if good.any():
             out[good] = _solve(mats[good], rhs[good])
     # The linearized solve only stabilizes when the relaxation is
@@ -203,7 +200,7 @@ def newton_sweep(stack: NodeDerivativeStack, C: CKCoefficients,
 def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
                     dxW: np.ndarray, grid: NodeGrid,
                     cfg: PredictorConfig | None = None
-                    ) -> tuple[np.ndarray, list]:
+                    ) -> tuple[np.ndarray, list, int]:
     """Run the nested Picard iteration for a batch of cells.
 
     Up to M sweeps of {populate stacks, build C matrices, Newton step at
@@ -211,11 +208,11 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
     whose incoming residual meets the tolerance keeps its values and leaves
     the iteration (the early exit is per cell, so results do not depend on
     how cells are batched).  Returns the nodal values Q, shape
-    (n_cells, n_S, n_T, m), and per sweep the max-norm residual of the
-    incoming iterate over the cells it evaluated: above ``residual_tol``
-    this is the max over all cells, since a cell that left holds a residual
-    at or below it.  Under ``monitor`` the residual of the final iterate
-    over all cells follows.
+    (n_cells, n_S, n_T, m); per sweep the max-norm residual of the incoming
+    iterate over the cells it evaluated (above ``residual_tol`` this is the
+    max over all cells, since a cell that left holds a residual at or below
+    it); and the number of cells left unverified, i.e. still updating after
+    sweep M, whose final iterate no residual was evaluated for.
     """
     cfg = cfg or PredictorConfig()
     M = grid.M
@@ -235,9 +232,4 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
         updating = cell_res > cfg.residual_tol
         cells = cells[updating]
         Q[cells] = q_new[updating]
-    if cfg.monitor:
-        stack = populate_stacks(system, Q, grid)
-        C = matrix_c(stack, M, grid, time_axis=_TIME_AXIS)
-        h, _ = residual_and_jacobian(stack, C, W_nodal, grid.tau * grid.dt, M)
-        residuals.append(float(np.max(np.abs(h))))
-    return Q, residuals
+    return Q, residuals, int(cells.size)

@@ -25,8 +25,8 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional, TextIO
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -225,8 +225,9 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
     The per-cell solve is independent, so the result is bitwise identical
     for any thread count.  Each block drops its converged cells from its own
     later sweeps; the residual trace takes per sweep the largest entry of
-    any block that ran it, i.e. the max over the cells evaluated.  A
-    ``PredictorError`` names the cell by its index in ``W_nodal``.
+    any block that ran it, i.e. the max over the cells evaluated, and the
+    unverified cells of the blocks add up.  A ``PredictorError`` names the
+    cell by its index in ``W_nodal``.
     """
     n_threads = config.thread_count()
     n_cells = W_nodal.shape[0]
@@ -237,34 +238,31 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
     bounds = np.linspace(0, n_cells, n_threads + 1, dtype=int)
     blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     q_out = np.empty(W_nodal.shape[:2] + (grid.n_time, W_nodal.shape[-1]))
-    residual_lists = [None] * len(blocks)
 
-    def work(idx, lo, hi):
+    def work(block):
+        lo, hi = block
         try:
-            q_out[lo:hi], residual_lists[idx] = predictor_solve(
+            q_out[lo:hi], residuals, unverified = predictor_solve(
                 config.system, W_nodal[lo:hi], dxW[lo:hi], grid,
                 config.predictor)
         except PredictorError as exc:
             raise exc.relabel(np.arange(lo, hi)) from None
+        return residuals, unverified
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = [pool.submit(work, i, lo, hi)
-                   for i, (lo, hi) in enumerate(blocks)]
-        for fut in futures:
-            fut.result()
-    n_sweeps = max(len(r) for r in residual_lists)
+        residual_lists, unverified = zip(*pool.map(work, blocks))
     merged = [max(r[i] for r in residual_lists if len(r) > i)
-              for i in range(n_sweeps)]
-    return q_out, merged
+              for i in range(max(map(len, residual_lists)))]
+    return q_out, merged, sum(unverified)
 
 
 def nodal_solution(field: CellField, config: RunConfig, grid: NodeGrid):
     """Space-time values at the nodes of cells -1 .. N, shape (N+2, n_S, n_T, m).
 
     Transition cells take the two-state solution; every other cell goes
-    through the predictor.  Returns the values and the predictor residual
-    trace.  A ``PredictorError`` names the mesh cell (-1 and N are the ghost
-    cells).
+    through the predictor.  Returns the values, the predictor residual trace
+    and the number of unverified cells.  A ``PredictorError`` names the mesh
+    cell (-1 and N are the ghost cells).
     """
     M = config.M
     coeffs = reconstruct_padded(field.extended(M + 1), M, config.weno)
@@ -279,20 +277,21 @@ def nodal_solution(field: CellField, config: RunConfig, grid: NodeGrid):
             return _predict(config, W_nodal, dxW, grid)
         q_nodal = np.empty(W_nodal.shape[:2] + (grid.n_time, W_nodal.shape[-1]))
         q_nodal[flags] = two_state_nodes(field, config.system, flags, grid)
-        q_nodal[cells], residuals = _predict(config, W_nodal[cells],
-                                             dxW[cells], grid)
+        q_nodal[cells], residuals, unverified = _predict(
+            config, W_nodal[cells], dxW[cells], grid)
     except PredictorError as exc:
         raise exc.relabel(cells - 1) from None
-    return q_nodal, residuals
+    return q_nodal, residuals, unverified
 
 
 def step(field: CellField, config: RunConfig, dt: float):
     """Advance the field by one time step of size dt.
 
-    Returns the updated field and the predictor residual trace for the step.
+    Returns the updated field and the step's predictor trace: the residual
+    per sweep and the number of unverified cells (see ``StepStats``).
     """
     grid = build_grid(config.M, field.dx, dt)
-    q_nodal, residuals = nodal_solution(field, config, grid)
+    q_nodal, residuals, unverified = nodal_solution(field, config, grid)
 
     left_trace = q_nodal[:-1, -1]    # cells -1..N-1 at xi = +1/2
     right_trace = q_nodal[1:, 0]     # cells 0..N at xi = -1/2
@@ -302,10 +301,7 @@ def step(field: CellField, config: RunConfig, dt: float):
     new_avg = field.averages \
         - (dt / field.dx) * (fluxes[1:] - fluxes[:-1]) \
         + dt * sources
-    new_field = CellField(n_cells=field.n_cells, dx=field.dx,
-                          x_left=field.x_left, averages=new_avg,
-                          boundary=field.boundary)
-    return new_field, residuals
+    return replace(field, averages=new_avg), (residuals, unverified)
 
 
 def project_initial(initial: Callable[[np.ndarray], np.ndarray],
@@ -321,55 +317,61 @@ def project_initial(initial: Callable[[np.ndarray], np.ndarray],
                      boundary=boundary)
 
 
+@dataclass(frozen=True, slots=True)
+class StepStats:
+    """One time step: its start t, dt and lambda_abs, per predictor sweep
+    the max residual of the incoming iterate over the cells it evaluated
+    (largest over thread blocks), and the cells still updating after the
+    last sweep, whose final iterate is unverified (transition cells: 0)."""
+
+    t: float
+    dt: float
+    lam: float
+    residuals: list
+    unverified_cells: int
+
+
 @dataclass
 class RunResult:
-    """Final field plus marching diagnostics."""
+    """Final field plus one ``StepStats`` per step."""
 
     field: CellField
     t_final: float
     n_steps: int
     seconds: float
-    # one list per step: the max residual of each predictor sweep's incoming
-    # iterate over the cells that sweep evaluated (those still updating),
-    # merged over thread blocks (largest per sweep)
-    predictor_residuals: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
 
 
-def run(config: RunConfig, log_stream: Optional[TextIO] = None) -> RunResult:
+def run(config: RunConfig) -> RunResult:
     """March from the projected initial condition to t_out.
 
-    Writes a line ``t dt lambda_abs`` per step to ``log_stream`` when one is
-    given; the final step is clipped to land exactly on t_out.  The result
-    keeps each step's predictor residual trace.  A ``PredictorError`` names
-    the step (counted from 1) and the mesh cell.
+    The final step is clipped to land exactly on t_out.  The result keeps a
+    ``StepStats`` record per step.  A ``PredictorError`` names the step
+    (counted from 1) and the mesh cell.
     """
     field_now = project_initial(config.initial, config.n_cells, config.x_left,
                                 config.dx, config.boundary)
     t = 0.0
-    n_steps = 0
-    residual_log = []
+    steps = []
     tol = 1e-12 * max(1.0, config.t_out)
     t_start = time.perf_counter()
     while config.t_out - t > tol:
         dt_cfl = cfl_timestep(field_now, config.system, config.cfl)
         dt = min(dt_cfl, config.t_out - t)
-        if log_stream is not None:
-            lam = config.cfl * field_now.dx / dt_cfl
-            log_stream.write(f"{t:.8e} {dt:.8e} {lam:.8e}\n")
+        lam = config.cfl * field_now.dx / dt_cfl
         try:
-            field_now, residuals = step(field_now, config, dt)
+            field_now, trace = step(field_now, config, dt)
         except PredictorError as exc:
-            raise exc.at_step(n_steps + 1) from None
+            raise exc.at_step(len(steps) + 1) from None
         if not np.all(np.isfinite(field_now.averages)):
             bad = np.argwhere(~np.isfinite(field_now.averages))[:5]
             raise SchemeError(
-                f"non-finite averages after step {n_steps + 1} at "
+                f"non-finite averages after step {len(steps) + 1} at "
                 f"(cell, component) {bad.tolist()}")
-        residual_log.append(residuals)
+        steps.append(StepStats(t, dt, lam, *trace))
         t += dt
-        n_steps += 1
-        if n_steps > config.max_steps:
+        if len(steps) > config.max_steps:
             raise SchemeError(f"step budget {config.max_steps} exhausted at t={t:g}")
     seconds = time.perf_counter() - t_start
-    return RunResult(field=field_now, t_final=t, n_steps=n_steps,
-                     seconds=seconds, predictor_residuals=residual_log)
+    return RunResult(field=field_now, t_final=t, n_steps=len(steps),
+                     seconds=seconds, steps=steps)

@@ -196,7 +196,7 @@ def test_predictor_constant_data_all_orders():
     for M in (1, 2, 3, 4):
         grid = build_grid(M, 0.1, 0.05)
         w = np.broadcast_to(q0, (3, M + 1, 3)).copy()
-        q, _ = predictor_solve(system, w, np.zeros_like(w), grid)
+        q, _, _ = predictor_solve(system, w, np.zeros_like(w), grid)
         assert np.max(np.abs(q - q0)) < 1e-13
 
 
@@ -204,7 +204,7 @@ def test_predictor_equilibrium_preservation_stiff():
     system = leveque_yee_system(-10000.0)
     grid = build_grid(3, 1 / 300, 0.2 / 300)
     w = np.ones((4, 4, 1))
-    q, _ = predictor_solve(system, w, np.zeros_like(w), grid)
+    q, _, _ = predictor_solve(system, w, np.zeros_like(w), grid)
     assert np.max(np.abs(q - 1.0)) < 1e-14
 
 
@@ -216,7 +216,7 @@ def test_predictor_m1_linear_fixed_point_residual():
     dt = 0.9 * dx
     field = CellField(n, dx, 0.0, exact_averages(system.exact_solution, n, dx, 0.0))
     grid, w_nodal, dxw = nodal_data_from_field(system, field, 1, dt)
-    q, _ = predictor_solve(system, w_nodal, dxw, grid)
+    q, _, _ = predictor_solve(system, w_nodal, dxw, grid)
     a_mat = np.array([[0.0, lam], [lam, 0.0]])
     tau = grid.tau[0] * grid.dt
     # the single sweep (M = 1) freezes dxQ at the initial guess
@@ -234,7 +234,7 @@ def test_predictor_source_free_equals_explicit_taylor_pipeline():
     dt = 0.5 * dx
     field = CellField(n, dx, 0.0, exact_averages(system.exact_solution, n, dx, 0.0))
     grid, w_nodal, dxw = nodal_data_from_field(system, field, 2, dt)
-    q_solved, _ = predictor_solve(system, w_nodal, dxw, grid)
+    q_solved, _, _ = predictor_solve(system, w_nodal, dxw, grid)
 
     # independent explicit iteration with the same structure
     q = initial_guess(system, w_nodal, dxw, grid)
@@ -262,7 +262,7 @@ def test_predictor_eoc_linear_system(M, min_order):
         field = CellField(n, dx, 0.0,
                           exact_averages(system.exact_solution, n, dx, 0.0))
         grid, w_nodal, dxw = nodal_data_from_field(system, field, M, dt)
-        q, _ = predictor_solve(system, w_nodal, dxw, grid)
+        q, _, _ = predictor_solve(system, w_nodal, dxw, grid)
         centers = field.cell_centers()
         x_nodes = centers[:, None] + grid.xi[None, :] * dx
         err = 0.0
@@ -285,7 +285,7 @@ def test_predictor_eoc_euler_fifth_order():
                           exact_averages(system.exact_solution, n, dx, 0.0,
                                          m=3))
         grid, w_nodal, dxw = nodal_data_from_field(system, field, M, dt)
-        q, _ = predictor_solve(system, w_nodal, dxw, grid)
+        q, _, _ = predictor_solve(system, w_nodal, dxw, grid)
         centers = field.cell_centers()
         x_nodes = centers[:, None] + grid.xi[None, :] * dx
         err = 0.0
@@ -297,6 +297,14 @@ def test_predictor_eoc_euler_fifth_order():
     assert order >= 4.2
 
 
+def final_residual(system, q, w_nodal, grid):
+    """Max-norm residual of the iterate q over all cells."""
+    stack = populate_stacks(system, q, grid)
+    C = matrix_c(stack, grid.M, grid, time_axis=2)
+    h, _ = residual_and_jacobian(stack, C, w_nodal, grid.tau * grid.dt, grid.M)
+    return float(np.max(np.abs(h)))
+
+
 def test_predictor_residuals_monitored_and_decreasing():
     system = leveque_yee_system(-100.0)
     n, dx = 50, 1.0 / 50
@@ -305,14 +313,16 @@ def test_predictor_residuals_monitored_and_decreasing():
     avg = 0.5 + 0.4 * np.sin(2 * np.pi * (np.arange(n) + 0.5) / n)[:, None]
     field = CellField(n, dx, 0.0, avg, "transmissive")
     grid, w_nodal, dxw = nodal_data_from_field(system, field, 3, dt)
-    q, plain = predictor_solve(system, w_nodal, dxw, grid)
-    q_mon, monitored = predictor_solve(system, w_nodal, dxw, grid,
-                                       PredictorConfig(monitor=True))
-    assert np.array_equal(q_mon, q)
-    assert len(monitored) == len(plain) + 1
-    assert monitored[:-1] == plain
+    q, plain, unverified = predictor_solve(system, w_nodal, dxw, grid)
+    q_again, again, _ = predictor_solve(system, w_nodal, dxw, grid)
+    final = final_residual(system, q, w_nodal, grid)
+    assert np.array_equal(q_again, q)
+    assert again == plain
+    monitored = plain + [final]
     for a, b in zip(monitored[:-1], monitored[1:]):
         assert b <= a * (1 + 1e-9)
+    # a batch with no unverified cell ends at the tolerance everywhere
+    assert unverified > 0 or final <= PredictorConfig().residual_tol
 
 
 def test_predictor_stiff_node_residual_small():
@@ -328,10 +338,10 @@ def test_predictor_stiff_node_residual_small():
     avg = 1.0 - 1e-6 * rng.random((n, 1))
     field = CellField(n, dx, 0.0, avg, "transmissive")
     grid, w_nodal, dxw = nodal_data_from_field(system, field, 3, dt)
-    cfg = PredictorConfig(monitor=True)
-    _, residuals = predictor_solve(system, w_nodal, dxw, grid, cfg)
-    assert residuals[-1] < 1e-8
-    assert residuals[-1] < residuals[0] / 50.0
+    q, residuals, _ = predictor_solve(system, w_nodal, dxw, grid)
+    final = final_residual(system, q, w_nodal, grid)
+    assert final < 1e-8
+    assert final < residuals[0] / 50.0
 
 
 def test_predictor_early_exit_is_per_cell():
@@ -342,7 +352,7 @@ def test_predictor_early_exit_is_per_cell():
     avg = np.where(np.arange(n) < 20, 1.0, 0.0)[:, None]
     field = CellField(n, dx, 0.0, avg, "transmissive")
     grid, w_nodal, dxw = nodal_data_from_field(system, field, 2, dt)
-    full, _ = predictor_solve(system, w_nodal, dxw, grid)
+    full, _, _ = predictor_solve(system, w_nodal, dxw, grid)
     parts = [predictor_solve(system, w_nodal[a:b], dxw[a:b], grid)[0]
              for a, b in ((0, 13), (13, 29), (29, 40))]
     assert np.array_equal(full, np.concatenate(parts, axis=0))
@@ -350,7 +360,8 @@ def test_predictor_early_exit_is_per_cell():
 
 def _full_batch_solve(system, w_nodal, dxw, grid, tol):
     """Reference sweep loop: every sweep evaluates every cell, and a mask
-    keeps the values of the cells that have converged."""
+    keeps the values of the cells that have converged.  Returns Q, the
+    trace and the number of cells the mask still holds at the end."""
     q = initial_guess(system, w_nodal, dxw, grid)
     residuals = []
     active = np.ones(q.shape[0], dtype=bool)
@@ -363,7 +374,7 @@ def _full_batch_solve(system, w_nodal, dxw, grid, tol):
         residuals.append(float(cell_res.max()))
         active = active & (cell_res > tol)
         q = np.where(active[:, None, None, None], q_new, q)
-    return q, residuals
+    return q, residuals, int(active.sum())
 
 
 def _stiff_pulse_data(M):
@@ -406,13 +417,16 @@ def _predictor_cases(shu_osher_field):
 
 def test_predictor_matches_full_batch_oracle(shu_osher_field):
     """Evaluating only the cells still updating changes no value: Q is
-    bitwise equal to the full-batch loop's, and each trace entry above the
-    tolerance is equal (at or below it both are)."""
+    bitwise equal to the full-batch loop's, each trace entry above the
+    tolerance is equal (at or below it both are), and so is the number of
+    cells still updating after the last sweep."""
     tol = PredictorConfig().residual_tol
     for name, (system, grid, w_nodal, dxw) in _predictor_cases(shu_osher_field):
-        q, trace = predictor_solve(system, w_nodal, dxw, grid)
-        q_ref, trace_ref = _full_batch_solve(system, w_nodal, dxw, grid, tol)
+        q, trace, unverified = predictor_solve(system, w_nodal, dxw, grid)
+        q_ref, trace_ref, unverified_ref = _full_batch_solve(
+            system, w_nodal, dxw, grid, tol)
         assert np.array_equal(q, q_ref), name
+        assert unverified == unverified_ref, name
         assert len(trace) == len(trace_ref), name
         for got, want in zip(trace, trace_ref):
             if want > tol:
@@ -420,7 +434,7 @@ def test_predictor_matches_full_batch_oracle(shu_osher_field):
             else:
                 assert got <= tol, name
         if name == "equilibrium":
-            assert len(trace) == 1
+            assert len(trace) == 1 and unverified == 0
         if name == "no cells":
             assert trace == [] and q.shape == (0, 4, grid.n_time, 1)
 

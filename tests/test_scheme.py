@@ -1,15 +1,15 @@
 """Finite-volume update: fluxes, source quadrature, CFL, marching loop."""
-import io
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from aderfv import predictor, scheme
+from aderfv import cli, predictor, scheme
 from aderfv.harness import build_config, make_case
 from aderfv.nodes import build_grid, newton_cotes_weights
-from aderfv.predictor import (PredictorError, predictor_solve,
-                              residual_and_jacobian)
+from aderfv.predictor import (PredictorConfig, PredictorError,
+                              predictor_solve, residual_and_jacobian)
 from aderfv.scheme import (RunConfig, SchemeError, cell_source, cfl_timestep,
                            interface_flux, nodal_solution, project_initial,
                            run, rusanov_flux, step, transition_cells)
@@ -269,14 +269,28 @@ def test_run_zero_output_time_returns_projection():
     assert res.n_steps == 0
 
 
-def test_run_verbose_log_lines():
+def test_run_verbose_log_lines(tmp_path, capsys):
+    """One record per step, ending at t_final; ``--verbose`` prints each
+    as a ``t dt lambda_abs`` line on stderr."""
     system = linear_system(1.0, -1.0)
     cfg = make_config(system, lambda x: system.exact_solution(x, 0.0), 2, 16,
-                      t_out=0.05)
-    stream = io.StringIO()
-    res = run(cfg, log_stream=stream)
-    lines = stream.getvalue().strip().splitlines()
-    assert len(lines) == res.n_steps
+                      t_out=0.2)
+    res = run(cfg)
+    assert len(res.steps) == res.n_steps > 1
+    first, last = res.steps[0], res.steps[-1]
+    assert first.t == 0.0 and first.dt > 0.0 and abs(first.lam - 1.0) < 1e-12
+    assert last.t + last.dt == res.t_final
+    for a, b in zip(res.steps, res.steps[1:]):
+        assert a.t + a.dt == b.t
+
+    argv = ["solve", "--system", "linear", "--order", "2", "--cells", "16",
+            "--tout", "0.2", "--out", str(tmp_path), "--verbose"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    cli_res = run(build_config(make_case("linear"), order=2, cells=16,
+                               t_out=0.2))
+    assert lines == [f"{s.t:.8e} {s.dt:.8e} {s.lam:.8e}"
+                     for s in cli_res.steps]
     t, dt, lam = (float(p) for p in lines[0].split())
     assert t == 0.0 and dt > 0.0 and abs(lam - 1.0) < 1e-12
 
@@ -322,16 +336,62 @@ def test_thread_count_does_not_change_results():
 
 
 def test_residual_trace_kept_and_thread_independent():
-    """Every run keeps the per-step predictor residuals; the merge of the
-    per-block lists gives the same trace at any thread count."""
+    """Every run keeps a record per step with its predictor residuals; the
+    merge of the per-block traces and counts gives the same records at any
+    thread count."""
     case = make_case("leveque-yee", beta=-1000.0)
-    traces = []
+    records = []
     for n_threads in (1, 3):
         res = run(build_config(case, order=3, cells=120, n_threads=n_threads))
-        assert len(res.predictor_residuals) == res.n_steps > 0
-        assert all(res.predictor_residuals)
-        traces.append(res.predictor_residuals)
-    assert traces[0] == traces[1]
+        assert len(res.steps) == res.n_steps > 0
+        assert all(s.residuals for s in res.steps)
+        records.append(res.steps)
+    assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("n_threads", [1, 3])
+def test_unverified_cells_are_last_sweep_updates(monkeypatch, n_threads):
+    """A step's ``unverified_cells`` is the number of cells whose residual in
+    the last sweep of their batch was above the tolerance, counted here
+    from the sweeps themselves."""
+    tol = PredictorConfig().residual_tol
+    last = threading.local()
+    counts, lock = [], threading.Lock()
+    real_sweep, real_solve = predictor.newton_sweep, scheme.predictor_solve
+    real_step = scheme.step
+
+    def sweep(*args):
+        q_new, cell_res = real_sweep(*args)
+        last.count = int(np.sum(cell_res > tol))
+        return q_new, cell_res
+
+    def solve(*args):
+        last.count = 0
+        out = real_solve(*args)
+        with lock:
+            counts[-1] += last.count
+        return out
+
+    def counting_step(*args):
+        counts.append(0)
+        return real_step(*args)
+
+    monkeypatch.setattr(predictor, "newton_sweep", sweep)
+    monkeypatch.setattr(scheme, "predictor_solve", solve)
+    monkeypatch.setattr(scheme, "step", counting_step)
+    case = make_case("leveque-yee", beta=-1000.0)
+    res = run(build_config(case, order=3, cells=120, n_threads=n_threads))
+    assert [s.unverified_cells for s in res.steps] == counts
+    assert sum(counts) > 0
+
+
+def test_unverified_cells_zero_at_equilibrium():
+    system = leveque_yee_system(-1000.0)
+    cfg = make_config(system, lambda x: np.ones(x.shape + (1,)), 3, 60,
+                      boundary="transmissive", cfl=0.2, t_out=0.05)
+    res = run(cfg)
+    assert res.n_steps > 0
+    assert all(s.unverified_cells == 0 for s in res.steps)
 
 
 @pytest.mark.parametrize("n_threads", [1, 2, 3])
@@ -455,7 +515,7 @@ def test_transition_cells_idle_at_mild_stiffness(monkeypatch):
 def test_transition_cell_takes_two_state_solution():
     cfg = stiff_front(-10000.0, 3, offset=0.5)
     field, grid, W, dxW = first_step_nodes(cfg)
-    q, _ = nodal_solution(field, cfg, grid)
+    q, _, _ = nodal_solution(field, cfg, grid)
 
     # Cell 90 sits between q_L ~ 1 (cell 89) and q_R ~ 0 (cell 91); its front
     # starts where it conserves the average and moves at the
@@ -467,7 +527,7 @@ def test_transition_cell_takes_two_state_solution():
     assert np.array_equal(q[91, ..., 0], want)
 
     keep = np.arange(len(q)) != 91
-    other, _ = predictor_solve(cfg.system, W[keep], dxW[keep], grid)
+    other, _, _ = predictor_solve(cfg.system, W[keep], dxW[keep], grid)
     assert np.array_equal(q[keep], other)
 
 
@@ -501,7 +561,7 @@ def test_step_with_every_cell_in_transition():
                       lambda x: np.full(x.shape + (1,), 0.5), 3, 60, cfl=0.2)
     field = project_initial(cfg.initial, 60, 0.0, cfg.dx)
     dt = cfl_timestep(field, cfg.system, cfg.cfl)
-    new_field, residuals = step(field, cfg, dt)
-    assert residuals == []
+    new_field, (residuals, unverified) = step(field, cfg, dt)
+    assert residuals == [] and unverified == 0
     assert np.all(np.isfinite(new_field.averages))
     assert np.ptp(new_field.averages) == 0.0

@@ -106,7 +106,7 @@ class Digests:
                 averages.min(), averages.max()])
         yield f"{sha(averages.tobytes())}  {name} averages"
         if traces:
-            steps = result.predictor_residuals
+            steps = [rec.residuals for rec in result.steps]
             self.arrays[f"{name} residual traces"] = np.array(
                 [r for step in steps for r in step])
             self.arrays[f"{name} sweeps per step"] = np.array(
