@@ -4,8 +4,8 @@ High-order (2..5) one-step finite-volume schemes whose space-time predictor
 combines an implicit Taylor expansion with a recursive simplified
 Cauchy-Kowalewskaya procedure, handling stiff source terms implicitly.
 """
-from .ck import (CKCoefficients, NodeDerivativeStack, binom, leibniz_expand,
-                 m_vector, matrix_c, matrix_d, pascal_coeffs, taylor_terms)
+from .ck import (NodeDerivativeStack, binom, leibniz_expand, m_vector,
+                 matrix_c, matrix_d, pascal_coeffs, taylor_terms)
 from .harness import (ConvergenceReport, MeshResult, PresetCase, build_config,
                       convergence_study, empirical_orders, error_norms,
                       field_interpolant, make_case, run_preset,

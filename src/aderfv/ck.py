@@ -15,9 +15,16 @@ The time derivatives themselves follow the recursion
 ``dtQ[k] = M_k + B dtQ[k-1]`` with ``M_k`` assembled by :func:`m_vector` and
 the base case ``dtQ[1] = -A dxQ + S``.  :func:`taylor_terms` evaluates it,
 together with the source-free parts ``E_k = M_k + B E_{k-1}`` that the
-implicit predictor needs; it is the only form of the functional.  All
-functions broadcast over leading array axes, so a "node" may equally be a
-single state or a whole grid of cells times space-time nodes.
+implicit predictor needs; it is the only form of the functional.
+
+All data is plain per-order dicts of arrays: a :class:`NodeDerivativeStack`
+family maps derivative order (from 0, the field itself) to an array, C is a
+dict keyed ``(k, l)`` and :func:`taylor_terms` returns the time derivatives
+and their explicit parts keyed by order.  The functions broadcast over
+leading array axes, so a "node" may equally be a single state or a whole
+grid of cells times space-time nodes; :func:`matrix_c` alone needs the
+predictor's (cells, n_S, n_T, m, m) layout, since it differentiates across
+the time nodes on axis 2.
 
 All m x m algebra of the solver goes through the batched helpers
 ``_matvec``, ``_matmul``, ``_solve`` and ``_det``.  At m = 1 (scalar laws)
@@ -102,10 +109,10 @@ def _det(mat: np.ndarray) -> np.ndarray:
 class NodeDerivativeStack:
     """Per-node workspace of states, Jacobians and their derivative stacks.
 
-    Spatial derivative dicts are keyed by order (1..M for Q, 1..M-1 for A,
-    1..M-2 for B); ``dtB`` holds time derivatives of B up to order M-2.
-    All arrays are physically scaled.  ``dtQ`` is filled progressively by
-    :func:`taylor_terms` in increasing order.
+    Every derivative family is a dict keyed by order and starts at order 0:
+    ``dxQ`` holds Q and its spatial derivatives up to order M, ``dxA`` A up
+    to M-1, ``dxB`` and ``dtB`` B and its spatial and time derivatives up to
+    M-2 (only order 0 when B vanishes).  All arrays are physically scaled.
     """
 
     Q: np.ndarray
@@ -116,35 +123,13 @@ class NodeDerivativeStack:
     dxA: dict = field(default_factory=dict)
     dxB: dict = field(default_factory=dict)
     dtB: dict = field(default_factory=dict)
-    dtQ: dict = field(default_factory=dict)
-    b_is_zero: bool = False
+    b_is_zero: bool = field(init=False)
 
     def __post_init__(self):
         self.b_is_zero = not np.asarray(self.B).any()
-
-    def Ax(self, order: int) -> np.ndarray:
-        return self.A if order == 0 else self.dxA[order]
-
-    def Bx(self, order: int) -> np.ndarray:
-        return self.B if order == 0 else self.dxB[order]
-
-    def Bt(self, order: int) -> np.ndarray:
-        return self.B if order == 0 else self.dtB[order]
-
-
-@dataclass
-class CKCoefficients:
-    """Matrices C(k, l), 1 <= l <= k <= M, with C(k, 0) = 0 by convention."""
-
-    M: int
-    mats: dict
-
-    def __call__(self, k: int, l: int) -> np.ndarray:
-        if not 1 <= k <= self.M or not 0 <= l <= k:
-            raise KeyError(f"C({k},{l}) outside 1 <= l <= k <= {self.M}")
-        if l == 0:
-            return np.zeros_like(self.mats[(1, 1)])
-        return self.mats[(k, l)]
+        self.dxQ[0] = self.Q
+        self.dxA[0] = self.A
+        self.dxB[0] = self.dtB[0] = self.B
 
 
 def matrix_d(l: int, k: int, stack: NodeDerivativeStack) -> np.ndarray:
@@ -157,85 +142,70 @@ def matrix_d(l: int, k: int, stack: NodeDerivativeStack) -> np.ndarray:
     if l < 2 or not 1 <= k <= l:
         raise ValueError(f"matrix_d requires l >= 2 and 1 <= k <= l, got ({l},{k})")
     cb = 0 if stack.b_is_zero else binom(l - 2, l - 1 - k)
-    ca = binom(l - 1, l - k)
-    if cb and ca:
-        return cb * stack.Bx(l - 1 - k) - ca * stack.Ax(l - k)
+    ca = binom(l - 1, l - k)     # nonzero for 1 <= k <= l
     if cb:
-        return cb * stack.Bx(l - 1 - k)
-    if ca:
-        return -ca * stack.Ax(l - k)
-    return np.zeros_like(stack.A)
+        return cb * stack.dxB[l - 1 - k] - ca * stack.dxA[l - k]
+    return -ca * stack.dxA[l - k]
 
 
-def matrix_c(stack: NodeDerivativeStack, M: int, grid: NodeGrid,
-             time_axis: int = -3) -> CKCoefficients:
-    """Generate C(k, l) for all nodes, level by level.
+def matrix_c(stack: NodeDerivativeStack, M: int, grid: NodeGrid) -> dict:
+    """Generate C(k, l) for all nodes, level by level: a dict keyed (k, l)
+    for 1 <= l <= k <= M.
 
     ``C(1,1) = -A``; the diagonal advances as ``C(k,k) = C(k-1,k-1) D(k,k)``
     and off-diagonal entries add the time gradient of the previous level,
     obtained by differentiating the interpolant of nodal C values across the
-    time nodes (axis ``time_axis``) and scaling by dt**-1.
+    time nodes (axis 2 of the (cells, n_S, n_T, m, m) node arrays) and
+    scaling by dt**-1.  The loop reads every D(p, q), 2 <= p <= M,
+    1 <= q <= p, so they are all built first.
     """
-    d_cache: dict = {}
-
-    def d_mat(p, q):
-        if (p, q) not in d_cache:
-            d_cache[(p, q)] = matrix_d(p, q, stack)
-        return d_cache[(p, q)]
-
-    mats = {(1, 1): -stack.A}
+    D = {(p, q): matrix_d(p, q, stack)
+         for p in range(2, M + 1) for q in range(1, p + 1)}
+    C = {(1, 1): -stack.A}
     for k in range(2, M + 1):
-        mats[(k, k)] = _matmul(mats[(k - 1, k - 1)], d_mat(k, k))
+        C[k, k] = _matmul(C[k - 1, k - 1], D[k, k])
         for l in range(1, k):
-            acc = time_derivative(mats[(k - 1, l)], 1, grid, axis=time_axis)
+            acc = time_derivative(C[k - 1, l], 1, grid, axis=2)
             for m in range(max(l - 1, 1), k):
-                acc = acc + _matmul(mats[(k - 1, m)], d_mat(m + 1, l))
-            mats[(k, l)] = acc
-    return CKCoefficients(M=M, mats=mats)
+                acc = acc + _matmul(C[k - 1, m], D[m + 1, l])
+            C[k, l] = acc
+    return C
 
 
-def m_vector(k: int, stack: NodeDerivativeStack, C: CKCoefficients) -> np.ndarray:
+def m_vector(k: int, stack: NodeDerivativeStack, C: dict,
+             dtq: dict) -> np.ndarray:
     """M_k = sum_l C(k,l) dx^l Q + sum_{l<=k-2} binom(k-2,l-1) Bt^(k-1-l) dtQ[l].
 
-    For k <= 2 the time-derivative sum is empty; for k >= 3 it reads
-    ``stack.dtQ`` entries already produced by the recursion.
+    For k <= 2 the time-derivative sum is empty; for k >= 3 it reads the
+    entries of ``dtq`` (time derivatives keyed by order) already produced by
+    the recursion.
     """
-    out = _matvec(C(k, 1), stack.dxQ[1])
+    out = _matvec(C[k, 1], stack.dxQ[1])
     for l in range(2, k + 1):
-        out = out + _matvec(C(k, l), stack.dxQ[l])
+        out = out + _matvec(C[k, l], stack.dxQ[l])
     if not stack.b_is_zero:
         for l in range(1, k - 1):
-            coeff = binom(k - 2, l - 1)
-            if coeff:
-                out = out + coeff * _matvec(stack.Bt(k - 1 - l), stack.dtQ[l])
+            out = out + binom(k - 2, l - 1) * _matvec(stack.dtB[k - 1 - l],
+                                                      dtq[l])
     return out
 
 
-@dataclass
-class TaylorTerms:
-    """Time derivatives and their source-free (explicit) parts per order."""
-
-    dtQ: dict
-    explicit: dict
-
-
-def taylor_terms(stack: NodeDerivativeStack, C: CKCoefficients,
-                 S_value: np.ndarray, M: int) -> TaylorTerms:
+def taylor_terms(stack: NodeDerivativeStack, C: dict, M: int
+                 ) -> tuple[dict, dict]:
     """Time derivatives split as dtQ[k] = explicit[k] + B**(k-1) S.
 
-    ``dtQ[1] = M_1 + S`` and ``dtQ[k] = M_k + B dtQ[k-1]``, computed in
-    increasing k so that M_k can read the lower-order time derivatives
-    (stored in ``stack.dtQ`` as they are produced).  The explicit parts
-    follow the same recursion, ``E_k = M_k + B E_{k-1}``, so
-    ``E_k = sum_r B**(k-r) M_r``.
+    ``dtQ[1] = M_1 + S`` (the source is ``stack.S``) and
+    ``dtQ[k] = M_k + B dtQ[k-1]``, computed in increasing k so that M_k can
+    read the lower-order time derivatives.  The explicit parts follow the
+    same recursion, ``E_k = M_k + B E_{k-1}``, so ``E_k = sum_r B**(k-r) M_r``.
+    Returns ``(dtq, explicit)``, both keyed by order 1..M.
     """
-    stack.dtQ.clear()
     dtq: dict = {}
     expl: dict = {}
     for k in range(1, M + 1):
-        mk = m_vector(k, stack, C)
+        mk = m_vector(k, stack, C, dtq)
         if k == 1:
-            dtq[1] = mk + S_value
+            dtq[1] = mk + stack.S
             expl[1] = mk
         elif stack.b_is_zero:
             dtq[k] = mk
@@ -243,8 +213,7 @@ def taylor_terms(stack: NodeDerivativeStack, C: CKCoefficients,
         else:
             dtq[k] = mk + _matvec(stack.B, dtq[k - 1])
             expl[k] = mk + _matvec(stack.B, expl[k - 1])
-        stack.dtQ[k] = dtq[k]
-    return TaylorTerms(dtQ=dtq, explicit=expl)
+    return dtq, expl
 
 
 def leibniz_expand(l: int, a_derivs, b_derivs) -> np.ndarray:

@@ -43,9 +43,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="boundary rule override")
     p.add_argument("--out", default="aderfv-out", help="output directory")
     p.add_argument("--config", help="JSON file with the same keys as the flags")
-    p.add_argument("--verbose", action="store_true",
-                   help="after a single solve, one line per step "
-                        "(t, dt, lambda_abs) on stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,8 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--order", type=int, choices=(2, 3, 4, 5),
                        help="scheme order of accuracy")
     solve.add_argument("--cells", type=int, help="number of cells")
+    solve.add_argument("--verbose", action="store_true",
+                       help="after the solve, one line per step "
+                            "(t, dt, lambda_abs) on stderr")
 
-    conv = sub.add_parser("converge", help="mesh-refinement study, writes tables")
+    conv = sub.add_parser(
+        "converge", help="mesh-refinement study, writes tables",
+        description="Mesh-refinement study: one table (text and CSV) per "
+                    "order.  Per-step lines (--verbose) belong to solve; "
+                    "a config file that sets verbose here is an error.")
     _add_common(conv)
     conv.add_argument("--orders", help="orders, e.g. 2..5 or 2,3,5")
     conv.add_argument("--meshes", help="cell counts, e.g. 8,16,32,64,128 or 8..128")

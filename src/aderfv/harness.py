@@ -69,9 +69,6 @@ class ConvergenceReport:
     order: int
     rows: list = field(default_factory=list)
 
-    def l1_orders(self):
-        return [r.ord_l1 for r in self.rows]
-
     def format_table(self, with_cpu: bool = True) -> str:
         head = f"Theoretical order : {self.order}\n"
         cols = f"{'Mesh':>6} {'Linf-err':>12} {'Linf-ord':>9} {'L1-err':>12} " \
@@ -280,7 +277,8 @@ def run_preset(name: str, overrides: Optional[dict] = None,
     solve writes the solution profile (plus the exact profile when known,
     and the fine-mesh reference for shu-osher) and, under ``verbose``,
     writes a line ``t dt lambda_abs`` per step to stderr once the run has
-    returned.  Returns the written paths.
+    returned.  ``verbose`` with ``orders``/``meshes`` raises ValueError.
+    Returns the written paths.
     """
     overrides = dict(overrides or {})
     if name not in PRESET_NAMES:
@@ -304,6 +302,9 @@ def run_preset(name: str, overrides: Optional[dict] = None,
     if orders is not None or meshes is not None:
         if orders is None or meshes is None:
             raise ValueError("convergence mode needs both orders and meshes")
+        if verbose:
+            raise ValueError("verbose prints the steps of a single solve; "
+                             "it does not apply to a convergence study")
         exact_fn = case.exact
         if exact_fn is None:
             exact_fn = field_interpolant(shu_osher_reference(), M=2)

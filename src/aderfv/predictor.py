@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ck import (CKCoefficients, NodeDerivativeStack, _det, _matmul, _matvec,
-                 _solve, matrix_c, taylor_terms)
+from .ck import (NodeDerivativeStack, _det, _matmul, _matvec, _solve,
+                 matrix_c, taylor_terms)
 from .nodes import NodeGrid, space_derivative, time_derivative
 from .systems import HyperbolicSystem
 
@@ -147,7 +147,7 @@ def populate_stacks(system: HyperbolicSystem, Q: np.ndarray,
     return stack
 
 
-def residual_and_jacobian(stack: NodeDerivativeStack, C: CKCoefficients,
+def residual_and_jacobian(stack: NodeDerivativeStack, C: dict,
                           W_nodal: np.ndarray, tau_phys: np.ndarray, M: int):
     """Algebraic system H and its Jacobian J at the current iterate.
 
@@ -156,14 +156,14 @@ def residual_and_jacobian(stack: NodeDerivativeStack, C: CKCoefficients,
     J = I + sum_k c_k B**(k-1) B(Y).
     """
     m = W_nodal.shape[-1]
-    terms = taylor_terms(stack, C, stack.S, M)
+    _, explicit = taylor_terms(stack, C, M)
     h = stack.Q - W_nodal[:, :, None, :]
-    source_free = not stack.B.any() and not stack.S.any()
+    source_free = stack.b_is_zero and not stack.S.any()
     b_pow = None if source_free else np.broadcast_to(np.eye(m), stack.B.shape)
     implicit_weight = None
     for k in range(1, M + 1):
         ck = ((-tau_phys) ** k / math.factorial(k))[None, None, :, None]
-        h = h + ck * terms.explicit[k]
+        h = h + ck * explicit[k]
         if source_free:
             continue
         contrib = ck[..., None] * b_pow
@@ -177,7 +177,7 @@ def residual_and_jacobian(stack: NodeDerivativeStack, C: CKCoefficients,
     return h, jac
 
 
-def newton_sweep(stack: NodeDerivativeStack, C: CKCoefficients,
+def newton_sweep(stack: NodeDerivativeStack, C: dict,
                  W_nodal: np.ndarray, grid: NodeGrid):
     """One Newton step Q <- Q - delta, J delta = H, at every node.
 
@@ -223,7 +223,7 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
         if cells.size == 0:
             break
         stack = populate_stacks(system, Q[cells], grid)
-        C = matrix_c(stack, M, grid, time_axis=_TIME_AXIS)
+        C = matrix_c(stack, M, grid)
         try:
             q_new, cell_res = newton_sweep(stack, C, W_nodal[cells], grid)
         except PredictorError as exc:    # locate the cell within the batch

@@ -36,6 +36,7 @@ from .systems import HyperbolicSystem, InadmissibleStateError
 from .weno import CellField, ReconstructionSet, WenoConfig, reconstruct_padded
 
 THREADS_ENV_VAR = "ADERFV_THREADS"
+MAX_STEPS = 2_000_000     # step budget of one run
 
 
 class SchemeError(RuntimeError):
@@ -58,7 +59,6 @@ class RunConfig:
     weno: WenoConfig = field(default_factory=WenoConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     n_threads: Optional[int] = None
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.M not in SUPPORTED_M:
@@ -356,6 +356,8 @@ def run(config: RunConfig) -> RunResult:
     tol = 1e-12 * max(1.0, config.t_out)
     t_start = time.perf_counter()
     while config.t_out - t > tol:
+        if len(steps) == MAX_STEPS:
+            raise SchemeError(f"step budget {MAX_STEPS} exhausted at t={t:g}")
         dt_cfl = cfl_timestep(field_now, config.system, config.cfl)
         dt = min(dt_cfl, config.t_out - t)
         lam = config.cfl * field_now.dx / dt_cfl
@@ -370,8 +372,6 @@ def run(config: RunConfig) -> RunResult:
                 f"(cell, component) {bad.tolist()}")
         steps.append(StepStats(t, dt, lam, *trace))
         t += dt
-        if len(steps) > config.max_steps:
-            raise SchemeError(f"step budget {config.max_steps} exhausted at t={t:g}")
     seconds = time.perf_counter() - t_start
     return RunResult(field=field_now, t_final=t, n_steps=len(steps),
                      seconds=seconds, steps=steps)

@@ -249,15 +249,15 @@ def test_criterion_6_ck_coefficient_suite():
     for l in range(1, 3):
         stack.dxB[l] = np.zeros(shape + (2, 2))
         stack.dtB[l] = np.zeros(shape + (2, 2))
-    C = matrix_c(stack, 4, grid, time_axis=2)
-    dtq = list(taylor_terms(stack, C, stack.S, 4).dtQ.values())
-    dx = {0: stack.Q, **stack.dxQ}
+    C = matrix_c(stack, 4, grid)
+    dtq, _ = taylor_terms(stack, C, 4)
     worst = 0.0
     for k in range(1, 5):
         want = sum(binom(k, j) * beta ** (k - j)
-                   * (np.linalg.matrix_power(-a_mat, j) @ dx[j][..., None])[..., 0]
+                   * (np.linalg.matrix_power(-a_mat, j)
+                      @ stack.dxQ[j][..., None])[..., 0]
                    for j in range(0, k + 1))
-        rel = np.max(np.abs(dtq[k - 1] - want)) / max(1.0, np.max(np.abs(want)))
+        rel = np.max(np.abs(dtq[k] - want)) / max(1.0, np.max(np.abs(want)))
         worst = max(worst, rel)
     ok &= worst < 1e-8
     assert _report("criterion 6: CK coefficient suite", ok,

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aderfv.ck import (CKCoefficients, NodeDerivativeStack, _det, _matmul,
-                       _matvec, _solve, binom, leibniz_expand, m_vector,
-                       matrix_c, matrix_d, pascal_coeffs, taylor_terms)
+from aderfv.ck import (NodeDerivativeStack, _det, _matmul, _matvec, _solve,
+                       binom, leibniz_expand, m_vector, matrix_c, matrix_d,
+                       pascal_coeffs, taylor_terms)
 from aderfv.nodes import build_grid
 
 RNG = np.random.default_rng(7)
@@ -81,9 +81,8 @@ def test_matrix_d_base_identities():
 
 def test_matrix_d_constant_matrices():
     stack = random_stack(seed=2)
-    for l in stack.dxA:
+    for l in range(1, 6):
         stack.dxA[l] = np.zeros_like(stack.A)
-    for l in stack.dxB:
         stack.dxB[l] = np.zeros_like(stack.B)
     for p in range(2, 6):
         assert np.allclose(matrix_d(p, p, stack), -stack.A)
@@ -122,22 +121,16 @@ def test_matrix_d_coefficients_match_pascal_tables(l):
     m = 2
     a_row, b_row = pascal_coeffs(l)
     for k in range(1, l + 2):
-        # A-part: set A_x^(l+1-k) = ones, everything else zero
+        # A-part: set A_x^(l+1-k) = ones (order 0 is A), everything else zero
         probe = zero_probe(m, l + 1)
-        order_a = l + 1 - k
-        if order_a == 0:
-            probe.A = np.ones((m, m))
-        else:
-            probe.dxA[order_a] = np.ones((m, m))
+        probe.dxA[l + 1 - k] = np.ones((m, m))
         coeff = -matrix_d(l + 1, k, probe)[0, 0]
         assert coeff == a_row[k - 1]
 
         # B-part: order l-k lives one column to the right in the table
         probe_b = zero_probe(m, l + 1)
         order_b = l - k
-        if order_b == 0:
-            probe_b.B = np.ones((m, m))
-        elif order_b > 0:
+        if order_b >= 0:
             probe_b.dxB[order_b] = np.ones((m, m))
         coeff_b = matrix_d(l + 1, k, probe_b)[0, 0] if order_b >= 0 else 0.0
         if k < l + 1:
@@ -196,12 +189,11 @@ def test_matrix_c_base_and_step_three_identities():
     stack.dxQ[2] = np.zeros(shape + (m,))
     stack.dxA[1] = np.broadcast_to(ax, shape + (m, m)).copy()
 
-    C = matrix_c(stack, M, grid, time_axis=2)
-    assert np.allclose(C(1, 1), -stack.A)
-    assert np.allclose(C(2, 2), stack.A @ stack.A)
+    C = matrix_c(stack, M, grid)
+    assert np.allclose(C[1, 1], -stack.A)
+    assert np.allclose(C[2, 2], stack.A @ stack.A)
     want = -a1 - a_field @ (b0 - ax)
-    assert np.max(np.abs(C(2, 1) - want)) < 1e-10
-    assert np.all(C(2, 0) == 0.0)
+    assert np.max(np.abs(C[2, 1] - want)) < 1e-10
 
 
 def test_matrix_c_constant_commuting_closed_form():
@@ -210,13 +202,13 @@ def test_matrix_c_constant_commuting_closed_form():
     beta = -0.7
     A = np.array([[0.0, 1.3], [1.3, 0.0]])
     grid, stack = constant_grid_stack(A, beta * np.eye(m), M=4)
-    C = matrix_c(stack, 4, grid, time_axis=2)
+    C = matrix_c(stack, 4, grid)
     negA = -A
     for k in range(1, 5):
         for l in range(1, k + 1):
             want = binom(k - 1, k - l) * beta ** (k - l) * \
                 np.linalg.matrix_power(negA, l)
-            got = C(k, l)[0, 0, 0]
+            got = C[k, l][0, 0, 0]
             assert np.max(np.abs(got - want)) < 1e-9 * max(1, np.abs(want).max())
 
 
@@ -248,8 +240,8 @@ def test_time_derivatives_match_conventional_ck_for_frozen_jacobians(k):
     A = rng.standard_normal((m, m))
     B = rng.standard_normal((m, m))
     grid, stack = constant_grid_stack(A, B, M=4, seed=12)
-    C = matrix_c(stack, 4, grid, time_axis=2)
-    dtq = taylor_terms(stack, C, stack.S, 4).dtQ
+    C = matrix_c(stack, 4, grid)
+    dtq, _ = taylor_terms(stack, C, 4)
     P, R = conventional_ck_constant(A, B, k)
     want = (R @ stack.S[..., None])[..., 0]
     for l, mat in P.items():
@@ -264,14 +256,13 @@ def test_time_derivatives_binomial_oracle_linear_system():
     A = np.array([[0.0, lam], [lam, 0.0]])
     grid, stack = constant_grid_stack(A, beta * np.eye(2), M=4, seed=13)
     stack.S = beta * stack.Q    # source consistent with B = beta*I
-    C = matrix_c(stack, 4, grid, time_axis=2)
-    dtq = taylor_terms(stack, C, stack.S, 4).dtQ
-    dx = {0: stack.Q, **stack.dxQ}
+    C = matrix_c(stack, 4, grid)
+    dtq, _ = taylor_terms(stack, C, 4)
     for k in range(1, 5):
         want = 0.0
         for j in range(0, k + 1):
             mat = binom(k, j) * beta ** (k - j) * np.linalg.matrix_power(-A, j)
-            want = want + (mat @ dx[j][..., None])[..., 0]
+            want = want + (mat @ stack.dxQ[j][..., None])[..., 0]
         rel = np.max(np.abs(dtq[k] - want)) / max(1.0, np.max(np.abs(want)))
         assert rel < 1e-8
 
@@ -279,11 +270,11 @@ def test_time_derivatives_binomial_oracle_linear_system():
 def test_time_derivatives_zero_at_equilibrium():
     m = 2
     grid, stack = constant_grid_stack(np.eye(m), np.zeros((m, m)), M=3)
-    for l in stack.dxQ:
+    for l in range(1, 4):
         stack.dxQ[l] = np.zeros_like(stack.dxQ[l])
     stack.S = np.zeros_like(stack.S)
-    C = matrix_c(stack, 3, grid, time_axis=2)
-    for d in taylor_terms(stack, C, stack.S, 3).dtQ.values():
+    C = matrix_c(stack, 3, grid)
+    for d in taylor_terms(stack, C, 3)[0].values():
         assert np.allclose(d, 0.0, atol=1e-14)
 
 
@@ -294,12 +285,12 @@ def test_m_vector_first_orders():
     grid, stack = constant_grid_stack(rng.standard_normal((m, m)),
                                       rng.standard_normal((m, m)), M=3,
                                       seed=18)
-    C = matrix_c(stack, 3, grid, time_axis=2)
-    m1 = m_vector(1, stack, C)
+    C = matrix_c(stack, 3, grid)
+    m1 = m_vector(1, stack, C, {})
     assert np.allclose(m1, (-stack.A @ stack.dxQ[1][..., None])[..., 0])
-    m2 = m_vector(2, stack, C)
-    want = (C(2, 2) @ stack.dxQ[2][..., None])[..., 0] \
-        + (C(2, 1) @ stack.dxQ[1][..., None])[..., 0]
+    m2 = m_vector(2, stack, C, {})
+    want = (C[2, 2] @ stack.dxQ[2][..., None])[..., 0] \
+        + (C[2, 1] @ stack.dxQ[1][..., None])[..., 0]
     assert np.allclose(m2, want)
 
 
@@ -340,8 +331,8 @@ def test_second_time_derivative_fd_oracle_on_exact_solution():
     stack.dxQ[1] = np.broadcast_to(dx_exact(x0, t0, 1), shape + (2,)).copy()
     stack.dxQ[2] = np.broadcast_to(dx_exact(x0, t0, 2), shape + (2,)).copy()
     stack.dxA[1] = np.zeros(shape + (2, 2))
-    C = matrix_c(stack, 2, grid, time_axis=2)
-    dtq = taylor_terms(stack, C, stack.S, 2).dtQ
+    C = matrix_c(stack, 2, grid)
+    dtq, _ = taylor_terms(stack, C, 2)
     assert np.max(np.abs(dtq[2][0, 0, 0] - fd)) < 1e-5
 
 
@@ -352,21 +343,21 @@ def test_taylor_terms_split_explicit_plus_source_power():
     grid, stack = constant_grid_stack(rng.standard_normal((m, m)),
                                       rng.standard_normal((m, m)), M=4,
                                       seed=24)
-    C = matrix_c(stack, 4, grid, time_axis=2)
-    terms = taylor_terms(stack, C, stack.S, 4)
+    C = matrix_c(stack, 4, grid)
+    dtq, explicit = taylor_terms(stack, C, 4)
     for k in range(1, 5):
         b_pow = np.linalg.matrix_power(stack.B[0, 0, 0], k - 1)
-        want = terms.explicit[k] + (b_pow @ stack.S[..., None])[..., 0]
-        assert np.allclose(terms.dtQ[k], want, atol=1e-12)
+        want = explicit[k] + (b_pow @ stack.S[..., None])[..., 0]
+        assert np.allclose(dtq[k], want, atol=1e-12)
 
 
 def test_ck_coefficients_bounds():
-    C = CKCoefficients(M=2, mats={(1, 1): np.eye(2), (2, 1): np.eye(2),
-                                  (2, 2): np.eye(2)})
-    with pytest.raises(KeyError):
-        C(3, 1)
-    with pytest.raises(KeyError):
-        C(2, 3)
+    """matrix_c returns exactly the keys 1 <= l <= k <= M."""
+    for M in range(1, 5):
+        grid, stack = constant_grid_stack(np.eye(2), -np.eye(2), M=M)
+        C = matrix_c(stack, M, grid)
+        assert set(C) == {(k, l) for k in range(1, M + 1)
+                          for l in range(1, k + 1)}
 
 
 # ---------------------------------------------------------------------------

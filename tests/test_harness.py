@@ -224,6 +224,22 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error" in err
 
 
+def test_cli_converge_rejects_verbose(tmp_path, capsys):
+    """--verbose is a solve option: converge refuses it as a flag (usage
+    error, exit 2) and from a config file (exit 1 with the message)."""
+    args = ["converge", "--system", "linear", "--orders", "2",
+            "--meshes", "8,16", "--tout", "0.05", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args + ["--verbose"])
+    assert exc.value.code == 2
+    assert "--verbose" in capsys.readouterr().err
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"verbose": True}))
+    assert cli_main(args + ["--config", str(path)]) == 1
+    assert "verbose" in capsys.readouterr().err
+    assert not (tmp_path / "convergence_order2.csv").exists()
+
+
 def test_cli_meshes_doubling_range(tmp_path):
     from aderfv.cli import _parse_int_list
     assert _parse_int_list("2..5") == [2, 3, 4, 5]

@@ -166,7 +166,7 @@ def test_residual_zero_time_offset_recovers_reconstruction():
     w = rng.standard_normal((2, 3, 2))
     q = rng.standard_normal((2, 3, 2, 2))
     stack = populate_stacks(system, q, grid)
-    C = matrix_c(stack, 2, grid, time_axis=2)
+    C = matrix_c(stack, 2, grid)
     h, jac = residual_and_jacobian(stack, C, w, np.zeros(grid.n_time), 2)
     assert np.allclose(h, q - w[:, :, None, :])
     assert np.allclose(jac, np.eye(2))
@@ -179,14 +179,14 @@ def test_newton_sweep_source_free_is_explicit_taylor():
     w = rng.standard_normal((3, 3, 2))
     q = w[:, :, None, :] + 0.01 * rng.standard_normal((3, 3, grid.n_time, 2))
     stack = populate_stacks(system, q, grid)
-    C = matrix_c(stack, 2, grid, time_axis=2)
+    C = matrix_c(stack, 2, grid)
     q_new, res = newton_sweep(stack, C, w, grid)
-    terms = taylor_terms(stack, C, stack.S, 2)
+    _, explicit = taylor_terms(stack, C, 2)
     tau = grid.tau * grid.dt
     want = np.broadcast_to(w[:, :, None, :], q.shape).astype(float).copy()
     for k in (1, 2):
         ck = ((-tau) ** k / math.factorial(k))[None, None, :, None]
-        want = want - ck * terms.explicit[k]
+        want = want - ck * explicit[k]
     assert np.max(np.abs(q_new - want)) < 1e-13
 
 
@@ -241,12 +241,12 @@ def test_predictor_source_free_equals_explicit_taylor_pipeline():
     tau = grid.tau * grid.dt
     for _ in range(2):
         stack = populate_stacks(system, q, grid)
-        C = matrix_c(stack, 2, grid, time_axis=2)
-        terms = taylor_terms(stack, C, stack.S, 2)
+        C = matrix_c(stack, 2, grid)
+        _, explicit = taylor_terms(stack, C, 2)
         q_next = np.broadcast_to(w_nodal[:, :, None, :], q.shape).astype(float).copy()
         for k in (1, 2):
             ck = ((-tau) ** k / math.factorial(k))[None, None, :, None]
-            q_next = q_next - ck * terms.explicit[k]
+            q_next = q_next - ck * explicit[k]
         q = q_next
     assert np.max(np.abs(q_solved - q)) < 1e-12
 
@@ -300,7 +300,7 @@ def test_predictor_eoc_euler_fifth_order():
 def final_residual(system, q, w_nodal, grid):
     """Max-norm residual of the iterate q over all cells."""
     stack = populate_stacks(system, q, grid)
-    C = matrix_c(stack, grid.M, grid, time_axis=2)
+    C = matrix_c(stack, grid.M, grid)
     h, _ = residual_and_jacobian(stack, C, w_nodal, grid.tau * grid.dt, grid.M)
     return float(np.max(np.abs(h)))
 
@@ -369,7 +369,7 @@ def _full_batch_solve(system, w_nodal, dxw, grid, tol):
         if not active.any():
             break
         stack = populate_stacks(system, q, grid)
-        C = matrix_c(stack, grid.M, grid, time_axis=2)
+        C = matrix_c(stack, grid.M, grid)
         q_new, cell_res = newton_sweep(stack, C, w_nodal, grid)
         residuals.append(float(cell_res.max()))
         active = active & (cell_res > tol)
@@ -505,7 +505,7 @@ def test_zero_scalar_jacobian_names_its_node(monkeypatch):
     monkeypatch.setattr(predictor, "residual_and_jacobian", zero_at_node)
     stack = populate_stacks(system, initial_guess(system, w_nodal, dxw, grid),
                             grid)
-    C = matrix_c(stack, grid.M, grid, time_axis=2)
+    C = matrix_c(stack, grid.M, grid)
     with pytest.raises(PredictorError) as err:
         newton_sweep(stack, C, w_nodal, grid)
     assert err.value.nodes.tolist() == [list(node)]

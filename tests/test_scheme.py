@@ -311,6 +311,24 @@ def test_run_aborts_cleanly_on_nonfinite():
     assert "[10, 0]" in message
 
 
+def test_run_stops_at_step_budget(monkeypatch):
+    """A run takes at most ``scheme.MAX_STEPS`` steps: one that needs
+    exactly that many completes, one that needs one more raises."""
+    system = scalar_advection()
+
+    def initial(x):
+        return np.sin(2 * np.pi * x)[..., None]
+
+    cfg = make_config(system, initial, 2, 20, t_out=0.2)
+    n = run(cfg).n_steps
+    assert n > 1
+    monkeypatch.setattr(scheme, "MAX_STEPS", n)
+    assert run(cfg).n_steps == n
+    monkeypatch.setattr(scheme, "MAX_STEPS", n - 1)
+    with pytest.raises(SchemeError, match=f"step budget {n - 1} exhausted"):
+        run(cfg)
+
+
 def test_transmissive_run_completes():
     system = leveque_yee_system(-1000.0)
 
