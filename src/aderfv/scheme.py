@@ -22,6 +22,8 @@ update read the two-state values like any predictor values.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +39,10 @@ from .weno import CellField, ReconstructionSet, WenoConfig, reconstruct_padded
 
 THREADS_ENV_VAR = "ADERFV_THREADS"
 MAX_STEPS = 2_000_000     # step budget of one run
+# glibc mallopt parameters and the values run() sets (see _keep_heap)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20     # glibc's maximum on 64-bit
+_TRIM_THRESHOLD = 128 << 20
 
 
 class SchemeError(RuntimeError):
@@ -342,13 +348,39 @@ class RunResult:
     steps: list = field(default_factory=list)
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """Once per process, tell glibc malloc to keep freed heap for reuse.
+
+    A step's node arrays (hundreds of KB each) exceed glibc's default mmap
+    threshold, and its temporaries grow the heap top, which is trimmed again
+    when they are freed; either way the next step faults the same pages
+    back in.  Serving blocks up to 32 MiB from the heap and trimming only
+    above 128 MiB keeps those pages mapped.  Both settings are needed: any
+    mallopt call also turns off glibc's dynamic mmap threshold.  Where
+    ``mallopt`` does not exist (macOS, musl) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def run(config: RunConfig) -> RunResult:
     """March from the projected initial condition to t_out.
 
     The final step is clipped to land exactly on t_out.  The result keeps a
     ``StepStats`` record per step.  A ``PredictorError`` names the step
     (counted from 1) and the mesh cell.
+
+    The first call sets the allocator policy of :func:`_keep_heap` for the
+    whole process, not just for the run: freed heap up to 128 MiB is kept
+    for reuse instead of being returned to the OS, so the memory a process
+    holds after a run does not shrink back.  Peak memory is unchanged.
     """
+    _keep_heap()
     field_now = project_initial(config.initial, config.n_cells, config.x_left,
                                 config.dx, config.boundary)
     t = 0.0
