@@ -341,14 +341,15 @@ def euler_system(gamma: float = 1.4) -> HyperbolicSystem:
 
     def flux_jacobian(q):
         rho, u, p, en = _uep(q)
+        u2 = u * u          # products: u**3 would go through libm pow
         out = np.zeros(q.shape + (3,))
         out[..., 0, 1] = 1.0
-        out[..., 1, 0] = 0.5 * (gamma - 3.0) * u**2
+        out[..., 1, 0] = 0.5 * (gamma - 3.0) * u2
         out[..., 1, 1] = (3.0 - gamma) * u
         out[..., 1, 2] = gm1
         ge = gamma * en / rho
-        out[..., 2, 0] = gm1 * u**3 - u * ge
-        out[..., 2, 1] = ge - 1.5 * gm1 * u**2
+        out[..., 2, 0] = gm1 * (u2 * u) - u * ge
+        out[..., 2, 1] = ge - 1.5 * gm1 * u2
         out[..., 2, 2] = gamma * u
         return out
 
