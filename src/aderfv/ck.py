@@ -38,7 +38,6 @@ product aside).  For m > 1, ``_matvec`` sums the m column products
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,7 +104,6 @@ def _det(mat: np.ndarray) -> np.ndarray:
     return np.linalg.det(mat)
 
 
-@dataclass
 class NodeDerivativeStack:
     """Per-node workspace of states, Jacobians and their derivative stacks.
 
@@ -113,23 +111,43 @@ class NodeDerivativeStack:
     ``dxQ`` holds Q and its spatial derivatives up to order M, ``dxA`` A up
     to M-1, ``dxB`` and ``dtB`` B and its spatial and time derivatives up to
     M-2 (only order 0 when B vanishes).  All arrays are physically scaled.
+    ``Q``, ``A`` and ``B`` name the order-0 entries, so assigning one updates
+    its families, and assigning ``B`` also recomputes ``b_is_zero``.
     """
 
-    Q: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    S: np.ndarray
-    dxQ: dict = field(default_factory=dict)
-    dxA: dict = field(default_factory=dict)
-    dxB: dict = field(default_factory=dict)
-    dtB: dict = field(default_factory=dict)
-    b_is_zero: bool = field(init=False)
+    def __init__(self, Q: np.ndarray, A: np.ndarray, B: np.ndarray,
+                 S: np.ndarray):
+        self.dxQ = {0: Q}
+        self.dxA = {0: A}
+        self.dxB = {}
+        self.dtB = {}
+        self.B = B
+        self.S = S
 
-    def __post_init__(self):
-        self.b_is_zero = not np.asarray(self.B).any()
-        self.dxQ[0] = self.Q
-        self.dxA[0] = self.A
-        self.dxB[0] = self.dtB[0] = self.B
+    @property
+    def Q(self) -> np.ndarray:
+        return self.dxQ[0]
+
+    @Q.setter
+    def Q(self, value: np.ndarray):
+        self.dxQ[0] = value
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.dxA[0]
+
+    @A.setter
+    def A(self, value: np.ndarray):
+        self.dxA[0] = value
+
+    @property
+    def B(self) -> np.ndarray:
+        return self.dxB[0]
+
+    @B.setter
+    def B(self, value: np.ndarray):
+        self.dxB[0] = self.dtB[0] = value
+        self.b_is_zero = not np.asarray(value).any()
 
 
 def matrix_d(l: int, k: int, stack: NodeDerivativeStack) -> np.ndarray:

@@ -99,6 +99,23 @@ def test_matrix_d_rejects_bad_indices():
         matrix_d(3, 4, stack)
 
 
+def test_stack_assignment_reaches_order_zero():
+    """Assigning Q, A or B after construction updates the order-0 entries
+    the recursion reads, and B also ``b_is_zero``."""
+    s = NodeDerivativeStack(Q=np.zeros(1), A=np.eye(1), B=np.zeros((1, 1)),
+                            S=np.zeros(1))
+    s.A = 2 * np.eye(1)
+    assert np.array_equal(matrix_d(2, 2, s), [[-2.0]])
+    s.Q = np.ones(1)
+    assert s.dxQ[0] is s.Q
+    assert s.b_is_zero
+    s.B = 3 * np.eye(1)
+    assert not s.b_is_zero
+    assert s.dxB[0] is s.dtB[0] is s.B
+    s.dxA[1] = np.zeros((1, 1))
+    assert np.array_equal(matrix_d(2, 1, s), [[3.0]])    # B - Ax
+
+
 def zero_probe(m, max_order):
     probe = NodeDerivativeStack(Q=np.zeros(m), A=np.zeros((m, m)),
                                 B=np.zeros((m, m)), S=np.zeros(m))

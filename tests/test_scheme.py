@@ -1,9 +1,15 @@
 """Finite-volume update: fluxes, source quadrature, CFL, marching loop."""
+import ctypes
 import math
 import threading
 
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:     # not on Windows
+    resource = None
 
 from aderfv import cli, predictor, scheme
 from aderfv.harness import build_config, make_case
@@ -327,6 +333,30 @@ def test_run_stops_at_step_budget(monkeypatch):
     monkeypatch.setattr(scheme, "MAX_STEPS", n - 1)
     with pytest.raises(SchemeError, match=f"step budget {n - 1} exhausted"):
         run(cfg)
+
+
+def _mallopt_missing():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return True
+    return False
+
+
+@pytest.mark.skipif(resource is None or _mallopt_missing(),
+                    reason="needs getrusage and glibc mallopt")
+def test_warm_run_keeps_heap_mapped():
+    """A warm run does not fault its heap back in every step: run() keeps
+    freed heap mapped, where glibc used to trim it (hundreds of minor
+    faults per step on this case)."""
+    case = make_case("shu-osher")
+    cfg = build_config(case, 3, cells=400, t_out=0.01, n_threads=1)
+    run(cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    result = run(cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert result.n_steps == 19
+    assert faults / result.n_steps < 20
 
 
 def test_transmissive_run_completes():
