@@ -39,10 +39,6 @@ from .weno import CellField, ReconstructionSet, WenoConfig, reconstruct_padded
 
 THREADS_ENV_VAR = "ADERFV_THREADS"
 MAX_STEPS = 2_000_000     # step budget of one run
-# glibc mallopt parameters and the values run() sets (see _keep_heap)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 32 << 20     # glibc's maximum on 64-bit
-_TRIM_THRESHOLD = 128 << 20
 
 
 class SchemeError(RuntimeError):
@@ -357,15 +353,18 @@ def _keep_heap() -> None:
     when they are freed; either way the next step faults the same pages
     back in.  Serving blocks up to 32 MiB from the heap and trimming only
     above 128 MiB keeps those pages mapped.  Both settings are needed: any
-    mallopt call also turns off glibc's dynamic mmap threshold.  Where
-    ``mallopt`` does not exist (macOS, musl) this does nothing.
+    mallopt call also stops glibc from raising the mmap threshold itself,
+    so setting the trim threshold alone would leave it at 128 KiB.  Where
+    ``mallopt`` does not exist (macOS, musl, Windows) this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
+    except (OSError, AttributeError, TypeError):
         return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)      # M_MMAP_THRESHOLD, glibc's maximum on 64-bit
+    mallopt(-1, 128 << 20)     # M_TRIM_THRESHOLD
 
 
 def run(config: RunConfig) -> RunResult:

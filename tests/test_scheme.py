@@ -1,15 +1,10 @@
 """Finite-volume update: fluxes, source quadrature, CFL, marching loop."""
-import ctypes
 import math
+import platform
 import threading
 
 import numpy as np
 import pytest
-
-try:
-    import resource
-except ImportError:     # not on Windows
-    resource = None
 
 from aderfv import cli, predictor, scheme
 from aderfv.harness import build_config, make_case
@@ -335,20 +330,13 @@ def test_run_stops_at_step_budget(monkeypatch):
         run(cfg)
 
 
-def _mallopt_missing():
-    try:
-        ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return True
-    return False
-
-
-@pytest.mark.skipif(resource is None or _mallopt_missing(),
-                    reason="needs getrusage and glibc mallopt")
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="needs glibc mallopt and getrusage")
 def test_warm_run_keeps_heap_mapped():
     """A warm run does not fault its heap back in every step: run() keeps
     freed heap mapped, where glibc used to trim it (hundreds of minor
     faults per step on this case)."""
+    import resource
     case = make_case("shu-osher")
     cfg = build_config(case, 3, cells=400, t_out=0.01, n_threads=1)
     run(cfg)
