@@ -334,7 +334,7 @@ def test_run_stops_at_step_budget(monkeypatch):
                     reason="needs glibc mallopt and getrusage")
 def test_warm_run_keeps_heap_mapped():
     """A warm run does not fault its heap back in every step: run() keeps
-    freed heap mapped, where glibc used to trim it (hundreds of minor
+    freed heap mapped (glibc's default policy costs hundreds of minor
     faults per step on this case)."""
     import resource
     case = make_case("shu-osher")
