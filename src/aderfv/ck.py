@@ -22,9 +22,9 @@ family maps derivative order (from 0, the field itself) to an array, C is a
 dict keyed ``(k, l)`` and :func:`taylor_terms` returns the time derivatives
 and their explicit parts keyed by order.  The functions broadcast over
 leading array axes, so a "node" may equally be a single state or a whole
-grid of cells times space-time nodes; :func:`matrix_c` alone needs the
-predictor's (cells, n_S, n_T, m, m) layout, since it differentiates across
-the time nodes on axis 2.
+grid of space-time nodes times cells; :func:`matrix_c` alone needs the
+predictor's node-major (n_S, n_T, cells, m, m) layout, since it
+differentiates across the time nodes on ``nodes.TIME_AXIS``.
 
 All m x m algebra of the solver goes through the batched helpers
 ``_matvec``, ``_matmul``, ``_solve`` and ``_det``.  At m = 1 (scalar laws)
@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .nodes import NodeGrid, time_derivative
+from .nodes import TIME_AXIS, NodeGrid, time_derivative
 
 
 def binom(n: int, k: int) -> int:
@@ -173,7 +173,7 @@ def matrix_c(stack: NodeDerivativeStack, M: int, grid: NodeGrid) -> dict:
     ``C(1,1) = -A``; the diagonal advances as ``C(k,k) = C(k-1,k-1) D(k,k)``
     and off-diagonal entries add the time gradient of the previous level,
     obtained by differentiating the interpolant of nodal C values across the
-    time nodes (axis 2 of the (cells, n_S, n_T, m, m) node arrays) and
+    time nodes (axis 1 of the (n_S, n_T, cells, m, m) node arrays) and
     scaling by dt**-1.  The loop reads every D(p, q), 2 <= p <= M,
     1 <= q <= p, so they are all built first.
     """
@@ -183,7 +183,7 @@ def matrix_c(stack: NodeDerivativeStack, M: int, grid: NodeGrid) -> dict:
     for k in range(2, M + 1):
         C[k, k] = _matmul(C[k - 1, k - 1], D[k, k])
         for l in range(1, k):
-            acc = time_derivative(C[k - 1, l], 1, grid, axis=2)
+            acc = time_derivative(C[k - 1, l], 1, grid, axis=TIME_AXIS)
             for m in range(max(l - 1, 1), k):
                 acc = acc + _matmul(C[k - 1, m], D[m + 1, l])
             C[k, l] = acc

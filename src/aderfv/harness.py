@@ -37,7 +37,7 @@ def error_norms(field_final: CellField, exact: Callable, M: int, t_end: float,
     """(Linf, L1, L2) of reconstruction minus exact at t_end, one component."""
     recon = reconstruct(field_final, M, weno_config)
     xi, w = gauss_legendre(5, -0.5, 0.5)
-    values = recon.evaluate(xi)[..., component]
+    values = recon.evaluate(xi)[..., component].T     # (cells, points)
     xg = field_final.cell_centers()[:, None] + xi[None, :] * field_final.dx
     exact_vals = np.asarray(exact(xg, t_end))[..., component]
     err = np.abs(values - exact_vals)

@@ -7,9 +7,14 @@ derivatives of nodal data are obtained by differentiating the unique
 interpolating polynomial through the nodes; the stencil weights are generated
 once per order by solving the interpolation (Vandermonde) conditions.
 
-A derivative contracts the node axis of C-contiguous nodal data with its
-stencil matrix: one matrix product when only unit axes follow the node axis
-(the time axis at m = 1), else one 2-D product per leading index.
+Nodal arrays are node-major: the space node axis comes first, then the time
+node axis, then the cells, then the components (and matrix columns).  A
+reconstruction at the space nodes is (n_S, N, m), a predictor state
+(n_S, n_T, N, m) and a Jacobian (n_S, n_T, N, m, m); ``SPACE_AXIS``,
+``TIME_AXIS`` and ``CELL_AXIS`` name the positions in the space-time arrays.
+A derivative contracts its node axis with the stencil matrix as matrix
+products over all cells at once: one product across the space nodes, one
+per space node across the time nodes.
 """
 from __future__ import annotations
 
@@ -20,6 +25,13 @@ from functools import lru_cache
 import numpy as np
 
 SUPPORTED_M = (1, 2, 3, 4)
+
+# Axis positions of the node-major space-time arrays (n_S, n_T, N, m[, m]);
+# the space-node arrays (n_S, N, m) drop the time axis, so their cells sit
+# on axis CELL_AXIS - 1.
+SPACE_AXIS = 0
+TIME_AXIS = 1
+CELL_AXIS = 2
 
 
 def gauss_legendre(n: int, lo: float = 0.0, hi: float = 1.0):
@@ -125,20 +137,14 @@ def build_grid(M: int, dx: float, dt: float) -> NodeGrid:
 
 
 def _apply(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
-    # Contract the node axis with the stencil matrix on contiguous data.
-    # With nothing after the node axis (the time axis at m = 1) the data is a
-    # (lead, nodes) matrix and the contraction one product with mat.T.
-    # Otherwise it is a stack of 2-D products, mat times the (nodes, rest)
-    # slab of every leading index; matmul over a swapped, strided last axis
-    # instead measured up to 10x slower on these small tensors (m = 3
-    # matrix data).
+    # Contract the node axis with the stencil matrix: mat times the
+    # (nodes, rest) slab of every leading index.  The node axes lead the
+    # node-major arrays, so the space axis is one product over all cells
+    # and the time axis one per space node.
     shape = values.shape
     axis %= len(shape)
     lead, rest = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
-    data = np.ascontiguousarray(values)
-    if rest == 1:
-        return (data.reshape(lead, shape[axis]) @ mat.T).reshape(shape)
-    return (mat @ data.reshape(lead, shape[axis], rest)).reshape(shape)
+    return (mat @ values.reshape(lead, shape[axis], rest)).reshape(shape)
 
 
 def space_derivative(values: np.ndarray, l: int, grid: NodeGrid,

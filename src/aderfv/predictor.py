@@ -13,7 +13,9 @@ and performing a single Newton step per node.  The system is local to each
 cell, so a cell whose residual meets the tolerance keeps its values and every
 later sweep evaluates only the cells still updating.
 
-All arrays are batched over cells: Q has shape (n_cells, n_S, n_T, m).
+All arrays are node-major (see :mod:`aderfv.nodes`): W has shape
+(n_S, n_cells, m), Q (n_S, n_T, n_cells, m) and a Jacobian
+(n_S, n_T, n_cells, m, m).
 """
 from __future__ import annotations
 
@@ -25,11 +27,9 @@ import numpy as np
 
 from .ck import (NodeDerivativeStack, _det, _matmul, _matvec, _solve,
                  matrix_c, taylor_terms)
-from .nodes import NodeGrid, space_derivative, time_derivative
+from .nodes import (CELL_AXIS, SPACE_AXIS, TIME_AXIS, NodeGrid,
+                    space_derivative, time_derivative)
 from .systems import HyperbolicSystem
-
-_SPACE_AXIS = 1
-_TIME_AXIS = 2
 
 
 class PredictorError(RuntimeError):
@@ -89,17 +89,17 @@ def initial_guess(system: HyperbolicSystem, W_nodal: np.ndarray,
     it holds at some nodes or at all of them.
     """
     m = W_nodal.shape[-1]
-    tau = (grid.tau * grid.dt)[None, None, :, None]
+    tau = (grid.tau * grid.dt)[None, :, None, None]
     a_w = system.flux_jacobian(W_nodal)
     b_w = system.source_jacobian(W_nodal)
     adv = _matvec(a_w, dxW)
     if not b_w.any():
         forcing = system.source(W_nodal) - adv
-        return W_nodal[:, :, None, :] + tau * forcing[:, :, None, :]
+        return W_nodal[:, None] + tau * forcing[:, None]
     affine = system.source(W_nodal) - _matvec(b_w, W_nodal)
-    rhs = W_nodal[:, :, None, :] + tau * (affine - adv)[:, :, None, :]
-    mats = np.eye(m) - tau[..., None] * b_w[:, :, None, :, :]
-    w_nodes = np.broadcast_to(W_nodal[:, :, None, :], rhs.shape)
+    rhs = W_nodal[:, None] + tau * (affine - adv)[:, None]
+    mats = np.eye(m) - tau[..., None] * b_w[:, None]
+    w_nodes = np.broadcast_to(W_nodal[:, None], rhs.shape)
     good = np.abs(_det(mats)) > np.finfo(float).tiny
     if good.all():
         out = _solve(mats, rhs)
@@ -137,13 +137,13 @@ def populate_stacks(system: HyperbolicSystem, Q: np.ndarray,
         S=system.source(Q),
     )
     for l in range(1, M + 1):
-        stack.dxQ[l] = space_derivative(Q, l, grid, axis=_SPACE_AXIS)
+        stack.dxQ[l] = space_derivative(Q, l, grid, axis=SPACE_AXIS)
     for l in range(1, M):
-        stack.dxA[l] = space_derivative(stack.A, l, grid, axis=_SPACE_AXIS)
+        stack.dxA[l] = space_derivative(stack.A, l, grid, axis=SPACE_AXIS)
     if not stack.b_is_zero:
         for l in range(1, M - 1):
-            stack.dxB[l] = space_derivative(stack.B, l, grid, axis=_SPACE_AXIS)
-            stack.dtB[l] = time_derivative(stack.B, l, grid, axis=_TIME_AXIS)
+            stack.dxB[l] = space_derivative(stack.B, l, grid, axis=SPACE_AXIS)
+            stack.dtB[l] = time_derivative(stack.B, l, grid, axis=TIME_AXIS)
     return stack
 
 
@@ -157,12 +157,12 @@ def residual_and_jacobian(stack: NodeDerivativeStack, C: dict,
     """
     m = W_nodal.shape[-1]
     _, explicit = taylor_terms(stack, C, M)
-    h = stack.Q - W_nodal[:, :, None, :]
+    h = stack.Q - W_nodal[:, None]
     source_free = stack.b_is_zero and not stack.S.any()
     b_pow = None if source_free else np.broadcast_to(np.eye(m), stack.B.shape)
     implicit_weight = None
     for k in range(1, M + 1):
-        ck = ((-tau_phys) ** k / math.factorial(k))[None, None, :, None]
+        ck = ((-tau_phys) ** k / math.factorial(k))[None, :, None, None]
         h = h + ck * explicit[k]
         if source_free:
             continue
@@ -186,14 +186,19 @@ def newton_sweep(stack: NodeDerivativeStack, C: dict,
     """
     tau_phys = grid.tau * grid.dt
     h, jac = residual_and_jacobian(stack, C, W_nodal, tau_phys, grid.M)
-    cell_res = np.max(np.abs(h), axis=(1, 2, 3))
+    n_cells, m = h.shape[CELL_AXIS:]
+    # max over the leading node axes, then the components: the same values
+    # as one max over axes (0, 1, 3), without its strided reduction
+    cell_res = np.abs(h).reshape(-1, n_cells, m).max(0).max(-1)
     if jac is None:   # source-free: the system is affine with unit Jacobian
         return stack.Q - h, cell_res
     try:
         delta = _solve(jac, h)
     except np.linalg.LinAlgError:
-        raise PredictorError(
-            np.argwhere(~(np.abs(_det(jac)) > np.finfo(float).tiny))) from None
+        singular = ~(np.abs(_det(jac)) > np.finfo(float).tiny)
+        # (cell, space node, time node) rows, sorted by cell
+        raise PredictorError(np.argwhere(
+            np.moveaxis(singular, CELL_AXIS, 0))) from None
     return stack.Q - delta, cell_res
 
 
@@ -207,8 +212,9 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
     every node}, each over the rows of the cells still updating only; a cell
     whose incoming residual meets the tolerance keeps its values and leaves
     the iteration (the early exit is per cell, so results do not depend on
-    how cells are batched).  Returns the nodal values Q, shape
-    (n_cells, n_S, n_T, m); per sweep the max-norm residual of the incoming
+    how cells are batched).  ``W_nodal`` and ``dxW`` have shape
+    (n_S, n_cells, m).  Returns the nodal values Q, shape
+    (n_S, n_T, n_cells, m); per sweep the max-norm residual of the incoming
     iterate over the cells it evaluated (above ``residual_tol`` this is the
     max over all cells, since a cell that left holds a residual at or below
     it); and the number of cells left unverified, i.e. still updating after
@@ -218,18 +224,24 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
     M = grid.M
     Q = initial_guess(system, W_nodal, dxW, grid)
     residuals = []
-    cells = np.arange(Q.shape[0])      # indices of the cells still updating
+    n_cells = Q.shape[CELL_AXIS]
+    cells = np.arange(n_cells)      # indices of the cells still updating
     for _ in range(M):
         if cells.size == 0:
             break
-        stack = populate_stacks(system, Q[cells], grid)
+        if cells.size == n_cells:
+            q, w = Q, W_nodal
+        else:   # np.take keeps the gathered rows C-contiguous
+            q = np.take(Q, cells, axis=CELL_AXIS)
+            w = np.take(W_nodal, cells, axis=CELL_AXIS - 1)
+        stack = populate_stacks(system, q, grid)
         C = matrix_c(stack, M, grid)
         try:
-            q_new, cell_res = newton_sweep(stack, C, W_nodal[cells], grid)
+            q_new, cell_res = newton_sweep(stack, C, w, grid)
         except PredictorError as exc:    # locate the cell within the batch
             raise exc.relabel(cells) from None
         residuals.append(float(cell_res.max()))
         updating = cell_res > cfg.residual_tol
         cells = cells[updating]
-        Q[cells] = q_new[updating]
+        Q[:, :, cells] = q_new[:, :, updating]
     return Q, residuals, int(cells.size)

@@ -32,7 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .nodes import NodeGrid, build_grid, gauss_legendre, newton_cotes_weights, SUPPORTED_M
+from .nodes import (CELL_AXIS, NodeGrid, SUPPORTED_M, build_grid,
+                    gauss_legendre, newton_cotes_weights)
 from .predictor import PredictorConfig, PredictorError, predictor_solve
 from .systems import HyperbolicSystem, InadmissibleStateError
 from .weno import CellField, ReconstructionSet, WenoConfig, reconstruct_padded
@@ -107,21 +108,24 @@ def interface_flux(left_trace: np.ndarray, right_trace: np.ndarray,
                    system: HyperbolicSystem, grid: NodeGrid) -> np.ndarray:
     """Gauss-weighted time average of Rusanov fluxes of the interface traces.
 
-    Traces have shape (n_interfaces, n_T, m): the left cell evaluated at
+    Traces have shape (n_T, n_interfaces, m): the left cell evaluated at
     xi = +1/2 and the right cell at xi = -1/2, at every time node.
     """
     fh = rusanov_flux(left_trace, right_trace, system)
-    return np.einsum("j,njm->nm", grid.tau_weights, fh)
+    return np.einsum("j,jnm->nm", grid.tau_weights, fh)
 
 
 def cell_source(q_nodal: np.ndarray, system: HyperbolicSystem,
                 grid: NodeGrid) -> np.ndarray:
-    """Newton-Cotes (space) x Gauss (time) quadrature of S over the nodes."""
+    """Newton-Cotes (space) x Gauss (time) quadrature of S over the nodes.
+
+    ``q_nodal`` has shape (n_S, n_T, n_cells, m); returns (n_cells, m).
+    """
     weights = np.outer(newton_cotes_weights(grid.M + 1), grid.tau_weights)
     s_nodal = system.source(q_nodal)
-    n, n_s, n_t, m = s_nodal.shape
-    return np.einsum("q,nqm->nm", weights.ravel(),
-                     s_nodal.reshape(n, n_s * n_t, m))
+    n_s, n_t, n, m = s_nodal.shape
+    return np.einsum("q,qnm->nm", weights.ravel(),
+                     s_nodal.reshape(n_s * n_t, n, m))
 
 
 def cfl_timestep(field: CellField, system: HyperbolicSystem, cfl: float) -> float:
@@ -162,7 +166,7 @@ def transition_cells(field: CellField, system: HyperbolicSystem,
     one-sided differences exceed the outer ones) while its jump stands above
     rounding noise and its source still acts on the scale of that jump.
     """
-    flags = np.zeros(W_nodal.shape[0], dtype=bool)
+    flags = np.zeros(W_nodal.shape[1], dtype=bool)
     if system.m != 1:
         return flags
     dt_b = dt * system.source_jacobian(W_nodal)[..., 0, 0]
@@ -179,8 +183,8 @@ def transition_cells(field: CellField, system: HyperbolicSystem,
     jump = np.abs(d_l + d_r)
     active = (dt * np.abs(system.source(avg)[:, 0]) > _SETTLED_SHARE * jump) \
         & (jump > _NOISE_SHARE * np.ptp(q))
-    flags = (dt_b > _STIFF_DT_B).any(axis=1)
-    flags |= stiff.any(axis=1) & inside & eno_sr & active
+    flags = (dt_b > _STIFF_DT_B).any(axis=0)
+    flags |= stiff.any(axis=0) & inside & eno_sr & active
     return flags
 
 
@@ -193,7 +197,7 @@ def two_state_nodes(field: CellField, system: HyperbolicSystem,
     The front starts at xi = -1/2 + theta, theta fixed by conserving the
     cell average, and moves at the Rankine-Hugoniot speed s of the jump, so
     node (xi, tau) takes q_L where xi < -1/2 + theta + s tau dt/dx.
-    Returns shape (n_flagged, n_S, n_T, 1).
+    Returns shape (n_S, n_T, n_flagged, 1).
     """
     q = field.extended(_SR_GHOST)
     wide = np.zeros(q.shape[0], dtype=bool)
@@ -213,11 +217,16 @@ def two_state_nodes(field: CellField, system: HyperbolicSystem,
     speed = np.where(flat, system.eigenvalues(avg),
                      (system.flux(q_r) - system.flux(q_l)) / jump)[:, 0]
     theta = np.clip((q_r - avg) / jump, 0.0, 1.0)[:, 0]
-    front = -0.5 + theta[:, None] + speed[:, None] * grid.tau[None, :] \
-        * grid.dt / grid.dx
-    left = grid.xi[None, :, None] < front[:, None, :]
-    return np.where(left[..., None], q_l[:, None, None, :],
-                    q_r[:, None, None, :])
+    front = -0.5 + theta + speed * grid.tau[:, None] * grid.dt / grid.dx
+    left = grid.xi[:, None, None] < front
+    return np.where(left[..., None], q_l, q_r)
+
+
+@functools.cache
+def _pool(n_threads: int) -> ThreadPoolExecutor:
+    """One worker pool per thread count, kept for the life of the process,
+    so a step starts no threads (and maps no new thread stacks)."""
+    return ThreadPoolExecutor(max_workers=n_threads)
 
 
 def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
@@ -225,41 +234,41 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
     """Predictor over all cells, optionally split into thread blocks.
 
     The per-cell solve is independent, so the result is bitwise identical
-    for any thread count.  Each block drops its converged cells from its own
-    later sweeps; the residual trace takes per sweep the largest entry of
-    any block that ran it, i.e. the max over the cells evaluated, and the
-    unverified cells of the blocks add up.  A ``PredictorError`` names the
-    cell by its index in ``W_nodal``.
+    for any thread count.  Each block, a range of the cell axis, drops its
+    converged cells from its own later sweeps; the residual trace takes per
+    sweep the largest entry of any block that ran it, i.e. the max over the
+    cells evaluated, and the unverified cells of the blocks add up.  A
+    ``PredictorError`` names the cell by its index in ``W_nodal``.
     """
     n_threads = config.thread_count()
-    n_cells = W_nodal.shape[0]
+    n_cells = W_nodal.shape[CELL_AXIS - 1]
     if n_threads <= 1 or n_cells < 2 * n_threads:
         return predictor_solve(config.system, W_nodal, dxW, grid,
                                config.predictor)
 
     bounds = np.linspace(0, n_cells, n_threads + 1, dtype=int)
     blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    q_out = np.empty(W_nodal.shape[:2] + (grid.n_time, W_nodal.shape[-1]))
+    n_s, _, m = W_nodal.shape
+    q_out = np.empty((n_s, grid.n_time, n_cells, m))
 
     def work(block):
         lo, hi = block
         try:
-            q_out[lo:hi], residuals, unverified = predictor_solve(
-                config.system, W_nodal[lo:hi], dxW[lo:hi], grid,
+            q_out[:, :, lo:hi], residuals, unverified = predictor_solve(
+                config.system, W_nodal[:, lo:hi], dxW[:, lo:hi], grid,
                 config.predictor)
         except PredictorError as exc:
             raise exc.relabel(np.arange(lo, hi)) from None
         return residuals, unverified
 
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        residual_lists, unverified = zip(*pool.map(work, blocks))
+    residual_lists, unverified = zip(*_pool(n_threads).map(work, blocks))
     merged = [max(r[i] for r in residual_lists if len(r) > i)
               for i in range(max(map(len, residual_lists)))]
     return q_out, merged, sum(unverified)
 
 
 def nodal_solution(field: CellField, config: RunConfig, grid: NodeGrid):
-    """Space-time values at the nodes of cells -1 .. N, shape (N+2, n_S, n_T, m).
+    """Space-time values at the nodes of cells -1 .. N, shape (n_S, n_T, N+2, m).
 
     Transition cells take the two-state solution; every other cell goes
     through the predictor.  Returns the values, the predictor residual trace
@@ -277,10 +286,13 @@ def nodal_solution(field: CellField, config: RunConfig, grid: NodeGrid):
     try:
         if cells.size == flags.size:
             return _predict(config, W_nodal, dxW, grid)
-        q_nodal = np.empty(W_nodal.shape[:2] + (grid.n_time, W_nodal.shape[-1]))
-        q_nodal[flags] = two_state_nodes(field, config.system, flags, grid)
-        q_nodal[cells], residuals, unverified = _predict(
-            config, W_nodal[cells], dxW[cells], grid)
+        n_s, n, m = W_nodal.shape
+        q_nodal = np.empty((n_s, grid.n_time, n, m))
+        q_nodal[:, :, flags] = two_state_nodes(field, config.system, flags,
+                                               grid)
+        q_nodal[:, :, cells], residuals, unverified = _predict(
+            config, np.take(W_nodal, cells, axis=CELL_AXIS - 1),
+            np.take(dxW, cells, axis=CELL_AXIS - 1), grid)
     except PredictorError as exc:
         raise exc.relabel(cells - 1) from None
     return q_nodal, residuals, unverified
@@ -295,10 +307,10 @@ def step(field: CellField, config: RunConfig, dt: float):
     grid = build_grid(config.M, field.dx, dt)
     q_nodal, residuals, unverified = nodal_solution(field, config, grid)
 
-    left_trace = q_nodal[:-1, -1]    # cells -1..N-1 at xi = +1/2
-    right_trace = q_nodal[1:, 0]     # cells 0..N at xi = -1/2
+    left_trace = q_nodal[-1, :, :-1]    # cells -1..N-1 at xi = +1/2
+    right_trace = q_nodal[0, :, 1:]     # cells 0..N at xi = -1/2
     fluxes = interface_flux(left_trace, right_trace, config.system, grid)
-    sources = cell_source(q_nodal[1:-1], config.system, grid)
+    sources = cell_source(q_nodal[:, :, 1:-1], config.system, grid)
 
     new_avg = field.averages \
         - (dt / field.dx) * (fluxes[1:] - fluxes[:-1]) \

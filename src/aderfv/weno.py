@@ -71,10 +71,10 @@ class CellField:
 
     def extended(self, n_ghost: int) -> np.ndarray:
         """Averages padded with ghost cells per the boundary rule."""
+        idx = np.arange(-n_ghost, self.n_cells + n_ghost)
         if self.boundary == "periodic":
-            idx = np.arange(-n_ghost, self.n_cells + n_ghost) % self.n_cells
-            return self.averages[idx]
-        return np.pad(self.averages, ((n_ghost, n_ghost), (0, 0)), mode="edge")
+            return self.averages[idx % self.n_cells]
+        return self.averages[np.clip(idx, 0, self.n_cells - 1)]
 
 
 def _cell_moment_row(d: int, degree: int) -> np.ndarray:
@@ -163,8 +163,8 @@ class ReconstructionSet:
     def evaluate(self, xi, l: int = 0) -> np.ndarray:
         """Values (or l-th xi-derivatives) at reference point(s) xi.
 
-        Scalar xi gives (N, m); a 1-D array of G points gives (N, G, m), both
-        C-contiguous.
+        Scalar xi gives (N, m); a 1-D array of G points gives the points-first
+        (G, N, m), the node-major layout of the predictor, both C-contiguous.
         Derivatives are in reference coordinates (physical ones carry the
         caller-applied factor dx**-l); orders beyond the degree are exactly
         zero.
@@ -172,11 +172,9 @@ class ReconstructionSet:
         if l < 0:
             raise ValueError("derivative order must be non-negative")
         basis = _basis(np.atleast_1d(np.asarray(xi, dtype=float)), self.M, l)
-        # one product over all cells, (G, N, m); the copy to C order pays for
-        # itself in the flux Jacobians and derivative stacks that read it
-        out = np.ascontiguousarray(
-            np.tensordot(basis, self.coeffs, axes=(1, 1)).transpose(1, 0, 2))
-        return out[:, 0] if np.ndim(xi) == 0 else out
+        # one product over all cells and points, (G, N, m)
+        out = np.tensordot(basis, self.coeffs, axes=(1, 1))
+        return out[0] if np.ndim(xi) == 0 else out
 
 
 def _basis(xi: np.ndarray, degree: int, l: int) -> np.ndarray:

@@ -235,7 +235,7 @@ def test_criterion_6_ck_coefficient_suite():
     lam, beta = 1.0, -1.0
     a_mat = np.array([[0.0, lam], [lam, 0.0]])
     grid = build_grid(4, 0.5, 0.5)
-    shape = (1, grid.n_space, grid.n_time)
+    shape = (grid.n_space, grid.n_time, 1)
     stack = NodeDerivativeStack(
         Q=rng.standard_normal(shape + (2,)),
         A=np.broadcast_to(a_mat, shape + (2, 2)).copy(),

@@ -157,7 +157,8 @@ def test_matrix_d_coefficients_match_pascal_tables(l):
 
 
 def constant_grid_stack(A, B, M, n_cells=1, seed=3):
-    """Node-grid stack with space-time constant Jacobians.
+    """Node-major grid stack, (n_S, n_T, cells, ...), with space-time
+    constant Jacobians.
 
     Scales near one keep the dt**-1 round-off amplification of the nodal
     time gradients (of constant data) small.
@@ -165,7 +166,7 @@ def constant_grid_stack(A, B, M, n_cells=1, seed=3):
     m = A.shape[0]
     grid = build_grid(M, 0.5, 0.5)
     rng = np.random.default_rng(seed)
-    shape = (n_cells, grid.n_space, grid.n_time)
+    shape = (grid.n_space, grid.n_time, n_cells)
     stack = NodeDerivativeStack(
         Q=rng.standard_normal(shape + (m,)),
         A=np.broadcast_to(A, shape + (m, m)).copy(),
@@ -192,10 +193,10 @@ def test_matrix_c_base_and_step_three_identities():
     a1 = rng.standard_normal((m, m))
     b0 = rng.standard_normal((m, m))
     ax = rng.standard_normal((m, m))
-    shape = (1, grid.n_space, grid.n_time)
+    shape = (grid.n_space, grid.n_time, 1)
     # A varies linearly in physical time => the interpolated gradient is exact
     t_phys = grid.tau * grid.dt
-    a_field = a0 + t_phys[None, None, :, None, None] * a1
+    a_field = a0 + t_phys[None, :, None, None, None] * a1
     stack = NodeDerivativeStack(
         Q=np.zeros(shape + (m,)),
         A=np.broadcast_to(a_field, shape + (m, m)).copy(),
@@ -338,7 +339,7 @@ def test_second_time_derivative_fd_oracle_on_exact_solution():
     fd = (dtq1(t0 + ht) - dtq1(t0 - ht)) / (2 * ht)
 
     grid = build_grid(2, 0.1, 0.05)
-    shape = (1, grid.n_space, grid.n_time)
+    shape = (grid.n_space, grid.n_time, 1)
     q = np.broadcast_to(exact(x0, t0), shape + (2,)).copy()
     stack = NodeDerivativeStack(Q=q,
                                 A=np.broadcast_to(A, shape + (2, 2)).copy(),

@@ -196,8 +196,8 @@ def test_apply_matches_literal_node_sum(M):
     grid = build_grid(M, 0.1, 0.01)
     rng = np.random.default_rng(M)
     for trailing in ((2,), (2, 2), (1,), (1, 1)):
-        values = rng.standard_normal((5, grid.n_space, grid.n_time) + trailing)
-        for axis, mats in ((1, grid.space_diff), (2, grid.time_diff)):
+        values = rng.standard_normal((grid.n_space, grid.n_time, 5) + trailing)
+        for axis, mats in ((0, grid.space_diff), (1, grid.time_diff)):
             for mat in mats:
                 got = _apply(mat, values, axis)
                 moved = np.moveaxis(values, axis, 0)
@@ -209,4 +209,54 @@ def test_apply_matches_literal_node_sum(M):
                 assert got.shape == values.shape
                 assert np.allclose(got, want, rtol=1e-13,
                                    atol=1e-13 * np.abs(mat).sum())
-                assert _apply(mat, values[:0], axis).shape == values[:0].shape
+                empty = values[:, :, :0]
+                assert _apply(mat, empty, axis).shape == empty.shape
+
+
+def _per_slab(mat, values, axis, scale):
+    """mat times the (nodes, rest) slab of each cell (on the time axis, of
+    each cell and space node) of node-major values, one product per slab,
+    divided by scale; also returns the bound n eps sum_q |mat_pq| |x_q| /
+    scale on the rounding of each entry."""
+    want = np.empty_like(values)
+    bound = np.empty_like(values)
+    eps = mat.shape[0] * np.finfo(float).eps
+    n_space, _, n_cells = values.shape[:3]
+    for c in range(n_cells):
+        for where in ([np.s_[:, :, c]] if axis == 0 else
+                      [np.s_[s, :, c] for s in range(n_space)]):
+            slab = values[where]
+            flat = slab.reshape(slab.shape[0], -1)
+            want[where] = (mat @ flat).reshape(slab.shape) / scale
+            bound[where] = eps * (np.abs(mat) @ np.abs(flat)).reshape(
+                slab.shape) / scale
+    return want, bound
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 3])
+def test_derivatives_match_per_cell_products(M, m):
+    """On node-major (n_S, n_T, cells, ...) vector and matrix data, the
+    derivatives over all cells at once agree to 1 ulp with D_l times each
+    cell's (nodes, rest) slab: the space axis per cell, the time axis per
+    cell and space node.  A one-column slab (the time axis at m = 1) makes
+    its product a matrix-vector kernel that sums in another order; there
+    the bound is n eps sum_q |D_pq x_q|, since cancelling entries can
+    differ by many ulps."""
+    grid = build_grid(M, 0.1, 0.01)
+    rng = np.random.default_rng(10 * M + m)
+    n_cells = 37
+    for trailing in ((m,), (m, m)):
+        values = rng.standard_normal((grid.n_space, grid.n_time, n_cells)
+                                     + trailing)
+        cases = [(space_derivative, 0, grid.space_diff, grid.dx, l)
+                 for l in range(1, M + 1)]
+        cases += [(time_derivative, 1, grid.time_diff, grid.dt, l)
+                  for l in range(1, grid.n_time)]
+        for derivative, axis, mats, h, l in cases:
+            got = derivative(values, l, grid, axis=axis)
+            want, bound = _per_slab(mats[l], values, axis, h**l)
+            if axis == 1 and m == 1:
+                assert np.all(np.abs(got - want) <= bound)
+            else:
+                np.testing.assert_array_max_ulp(got, want, maxulp=1)

@@ -35,9 +35,9 @@ def exact_averages(exact, n, dx, x_left, t=0.0, m=2):
 def test_initial_guess_constant_data_source_free():
     system = linear_system(1.0, 0.0)   # B = 0, S = 0
     grid = build_grid(2, 0.1, 0.05)
-    w = np.broadcast_to(np.array([0.7, -0.3]), (4, 3, 2)).copy()
+    w = np.broadcast_to(np.array([0.7, -0.3]), (3, 4, 2)).copy()
     q = initial_guess(system, w, np.zeros_like(w), grid)
-    assert np.allclose(q, w[:, :, None, :], atol=1e-14)
+    assert np.allclose(q, w[:, None], atol=1e-14)
 
 
 def test_initial_guess_linear_system_closed_form():
@@ -52,16 +52,16 @@ def test_initial_guess_linear_system_closed_form():
     for j, tau_ref in enumerate(grid.tau):
         tau = tau_ref * grid.dt
         want = (w - tau * dxw @ a_mat.T) / (1.0 - tau * beta)
-        assert np.max(np.abs(q[:, :, j, :] - want)) < 1e-13
+        assert np.max(np.abs(q[:, j] - want)) < 1e-13
 
 
 def test_initial_guess_vanishing_time_offset():
     system = leveque_yee_system(-100.0)
     grid = build_grid(1, 0.1, 1e-12)
-    w = np.full((2, 2, 1), 0.3)
-    dxw = np.full((2, 2, 1), 2.0)
+    w = np.full((2, 3, 1), 0.3)
+    dxw = np.full((2, 3, 1), 2.0)
     q = initial_guess(system, w, dxw, grid)
-    assert np.max(np.abs(q - w[:, :, None, :])) < 1e-10
+    assert np.max(np.abs(q - w[:, None])) < 1e-10
 
 
 def test_initial_guess_preserves_nonlinear_equilibria():
@@ -79,7 +79,7 @@ def test_initial_guess_falls_back_near_singular_linearization():
     system = leveque_yee_system(-10000.0)
     # B(0.65) = +1825, choose dt so tau*B is essentially 1 at some node
     grid = build_grid(1, 1 / 300, 2.0 / 1825.07)
-    w = np.full((1, 2, 1), 0.65)
+    w = np.full((2, 1, 1), 0.65)
     q = initial_guess(system, w, np.zeros_like(w), grid)
     assert np.all(np.isfinite(q))
     assert np.max(np.abs(q - 0.65)) < 10.0 * (1.0 + 0.65) + 1e-9
@@ -93,15 +93,15 @@ def test_initial_guess_warns_when_every_node_is_singular():
     two keep tau dt B exactly 1)."""
     system = leveque_yee_system(-16384.0)
     grid = build_grid(1, 0.1, 2.0 / 4096.0)
-    w = np.full((3, 2, 1), 0.5)
+    w = np.full((2, 3, 1), 0.5)
     assert np.all(system.source_jacobian(w) == 4096.0)
     with pytest.warns(UserWarning, match="stiff-initialization failure"):
         q = initial_guess(system, w, np.zeros_like(w), grid)
-    assert np.array_equal(q, w[:, :, None, :])
+    assert np.array_equal(q, w[:, None])
     w[0, 0] = 0.0                     # B = -8192 there: one solvable node
     with pytest.warns(UserWarning, match="stiff-initialization failure"):
         q = initial_guess(system, w, np.zeros_like(w), grid)
-    assert np.array_equal(q[1:], w[1:, :, None, :])
+    assert np.array_equal(q[:, :, 1:], w[:, None, 1:])
     assert np.all(np.isfinite(q))
 
 
@@ -109,7 +109,7 @@ def test_populate_stacks_constant_state():
     system = euler_system(1.4)
     grid = build_grid(3, 0.1, 0.05)
     q0 = euler_primitive_to_conserved(np.array([1.0, 1.0, 2.0]), 1.4)
-    q = np.broadcast_to(q0, (2, 4, 3, 3)).copy()
+    q = np.broadcast_to(q0, (4, 3, 2, 3)).copy()
     stack = populate_stacks(system, q, grid)
     # scaled derivatives amplify round-off by dx**-l
     scale = np.abs(q0).max()
@@ -129,14 +129,14 @@ def test_populate_stacks_gradient_accuracy():
         dt = 0.9 * dx
         grid = build_grid(2, dx, dt)
         centers = (np.arange(n) + 0.5) * dx
-        x_nodes = centers[:, None] + grid.xi[None, :] * dx
-        q_nodes = system.exact_solution(x_nodes, 0.0)[:, :, None, :]
-        q = np.broadcast_to(q_nodes, (n, 3, grid.n_time, 2)).copy()
+        x_nodes = centers[None, :] + grid.xi[:, None] * dx
+        q_nodes = system.exact_solution(x_nodes, 0.0)[:, None]
+        q = np.broadcast_to(q_nodes, (3, grid.n_time, n, 2)).copy()
         stack = populate_stacks(system, q, grid)
         two_pi = 2 * np.pi
         want = np.stack([two_pi * np.cos(two_pi * x_nodes),
                          -two_pi * np.sin(two_pi * x_nodes)], axis=-1)
-        errs.append(np.max(np.abs(stack.dxQ[1] - want[:, :, None, :])))
+        errs.append(np.max(np.abs(stack.dxQ[1] - want[:, None])))
     order = math.log2(errs[0] / errs[1])
     assert order > 1.6    # >= M for sampled data (interior superconvergence)
 
@@ -146,15 +146,15 @@ def test_populate_stacks_euler_jacobian_gradient_fd():
     n, dx = 24, 1.0 / 24
     grid = build_grid(2, dx, 0.01)
     centers = (np.arange(n) + 0.5) * dx
-    x_nodes = centers[:, None] + grid.xi[None, :] * dx
-    q = np.broadcast_to(system.exact_solution(x_nodes, 0.0)[:, :, None, :],
-                        (n, 3, 2, 3)).copy()
+    x_nodes = centers[None, :] + grid.xi[:, None] * dx
+    q = np.broadcast_to(system.exact_solution(x_nodes, 0.0)[:, None],
+                        (3, 2, n, 3)).copy()
     stack = populate_stacks(system, q, grid)
     h = 1e-6
     a_plus = system.flux_jacobian(system.exact_solution(x_nodes + h, 0.0))
     a_minus = system.flux_jacobian(system.exact_solution(x_nodes - h, 0.0))
     want = (a_plus - a_minus) / (2 * h)
-    err = np.max(np.abs(stack.dxA[1] - want[:, :, None]))
+    err = np.max(np.abs(stack.dxA[1] - want[:, None]))
     assert err < 0.5 * np.max(np.abs(want))   # O(dx^(M-1)) interpolation
 
 
@@ -163,12 +163,12 @@ def test_residual_zero_time_offset_recovers_reconstruction():
     system = linear_system(1.0, -1.0)
     grid = build_grid(2, 0.1, 0.05)
     rng = np.random.default_rng(3)
-    w = rng.standard_normal((2, 3, 2))
-    q = rng.standard_normal((2, 3, 2, 2))
+    w = rng.standard_normal((3, 2, 2))
+    q = rng.standard_normal((3, 2, 2, 2))
     stack = populate_stacks(system, q, grid)
     C = matrix_c(stack, 2, grid)
     h, jac = residual_and_jacobian(stack, C, w, np.zeros(grid.n_time), 2)
-    assert np.allclose(h, q - w[:, :, None, :])
+    assert np.allclose(h, q - w[:, None])
     assert np.allclose(jac, np.eye(2))
 
 
@@ -177,15 +177,15 @@ def test_newton_sweep_source_free_is_explicit_taylor():
     grid = build_grid(2, 0.05, 0.02)
     rng = np.random.default_rng(4)
     w = rng.standard_normal((3, 3, 2))
-    q = w[:, :, None, :] + 0.01 * rng.standard_normal((3, 3, grid.n_time, 2))
+    q = w[:, None] + 0.01 * rng.standard_normal((3, grid.n_time, 3, 2))
     stack = populate_stacks(system, q, grid)
     C = matrix_c(stack, 2, grid)
     q_new, res = newton_sweep(stack, C, w, grid)
     _, explicit = taylor_terms(stack, C, 2)
     tau = grid.tau * grid.dt
-    want = np.broadcast_to(w[:, :, None, :], q.shape).astype(float).copy()
+    want = np.broadcast_to(w[:, None], q.shape).astype(float).copy()
     for k in (1, 2):
-        ck = ((-tau) ** k / math.factorial(k))[None, None, :, None]
+        ck = ((-tau) ** k / math.factorial(k))[None, :, None, None]
         want = want - ck * explicit[k]
     assert np.max(np.abs(q_new - want)) < 1e-13
 
@@ -195,7 +195,7 @@ def test_predictor_constant_data_all_orders():
     q0 = euler_primitive_to_conserved(np.array([1.3, 0.4, 2.2]), 1.4)
     for M in (1, 2, 3, 4):
         grid = build_grid(M, 0.1, 0.05)
-        w = np.broadcast_to(q0, (3, M + 1, 3)).copy()
+        w = np.broadcast_to(q0, (M + 1, 3, 3)).copy()
         q, _, _ = predictor_solve(system, w, np.zeros_like(w), grid)
         assert np.max(np.abs(q - q0)) < 1e-13
 
@@ -222,7 +222,7 @@ def test_predictor_m1_linear_fixed_point_residual():
     # the single sweep (M = 1) freezes dxQ at the initial guess
     q_old = initial_guess(system, w_nodal, dxw, grid)
     dxq_old = populate_stacks(system, q_old, grid).dxQ[1]
-    resid = q - w_nodal[:, :, None, :] \
+    resid = q - w_nodal[:, None] \
         + tau * (dxq_old @ a_mat.T - beta * q)
     assert np.max(np.abs(resid)) < 1e-10
 
@@ -243,9 +243,9 @@ def test_predictor_source_free_equals_explicit_taylor_pipeline():
         stack = populate_stacks(system, q, grid)
         C = matrix_c(stack, 2, grid)
         _, explicit = taylor_terms(stack, C, 2)
-        q_next = np.broadcast_to(w_nodal[:, :, None, :], q.shape).astype(float).copy()
+        q_next = np.broadcast_to(w_nodal[:, None], q.shape).astype(float).copy()
         for k in (1, 2):
-            ck = ((-tau) ** k / math.factorial(k))[None, None, :, None]
+            ck = ((-tau) ** k / math.factorial(k))[None, :, None, None]
             q_next = q_next - ck * explicit[k]
         q = q_next
     assert np.max(np.abs(q_solved - q)) < 1e-12
@@ -264,11 +264,11 @@ def test_predictor_eoc_linear_system(M, min_order):
         grid, w_nodal, dxw = nodal_data_from_field(system, field, M, dt)
         q, _, _ = predictor_solve(system, w_nodal, dxw, grid)
         centers = field.cell_centers()
-        x_nodes = centers[:, None] + grid.xi[None, :] * dx
+        x_nodes = centers[None, :] + grid.xi[:, None] * dx
         err = 0.0
         for j, tau in enumerate(grid.tau):
             vals = system.exact_solution(x_nodes, tau * dt)
-            err = max(err, np.max(np.abs(q[:, :, j, :] - vals)))
+            err = max(err, np.max(np.abs(q[:, j] - vals)))
         errs.append(err)
     order = math.log2(errs[0] / errs[1])
     assert order >= min_order
@@ -287,11 +287,11 @@ def test_predictor_eoc_euler_fifth_order():
         grid, w_nodal, dxw = nodal_data_from_field(system, field, M, dt)
         q, _, _ = predictor_solve(system, w_nodal, dxw, grid)
         centers = field.cell_centers()
-        x_nodes = centers[:, None] + grid.xi[None, :] * dx
+        x_nodes = centers[None, :] + grid.xi[:, None] * dx
         err = 0.0
         for j, tau in enumerate(grid.tau):
             vals = system.exact_solution(x_nodes, tau * dt)
-            err = max(err, np.max(np.abs(q[:, :, j, :] - vals)))
+            err = max(err, np.max(np.abs(q[:, j] - vals)))
         errs.append(err)
     order = math.log2(errs[0] / errs[1])
     assert order >= 4.2
@@ -353,9 +353,9 @@ def test_predictor_early_exit_is_per_cell():
     field = CellField(n, dx, 0.0, avg, "transmissive")
     grid, w_nodal, dxw = nodal_data_from_field(system, field, 2, dt)
     full, _, _ = predictor_solve(system, w_nodal, dxw, grid)
-    parts = [predictor_solve(system, w_nodal[a:b], dxw[a:b], grid)[0]
+    parts = [predictor_solve(system, w_nodal[:, a:b], dxw[:, a:b], grid)[0]
              for a, b in ((0, 13), (13, 29), (29, 40))]
-    assert np.array_equal(full, np.concatenate(parts, axis=0))
+    assert np.array_equal(full, np.concatenate(parts, axis=2))
 
 
 def _full_batch_solve(system, w_nodal, dxw, grid, tol):
@@ -364,7 +364,7 @@ def _full_batch_solve(system, w_nodal, dxw, grid, tol):
     trace and the number of cells the mask still holds at the end."""
     q = initial_guess(system, w_nodal, dxw, grid)
     residuals = []
-    active = np.ones(q.shape[0], dtype=bool)
+    active = np.ones(q.shape[2], dtype=bool)
     for _ in range(grid.M):
         if not active.any():
             break
@@ -373,7 +373,7 @@ def _full_batch_solve(system, w_nodal, dxw, grid, tol):
         q_new, cell_res = newton_sweep(stack, C, w_nodal, grid)
         residuals.append(float(cell_res.max()))
         active = active & (cell_res > tol)
-        q = np.where(active[:, None, None, None], q_new, q)
+        q = np.where(active[:, None], q_new, q)
     return q, residuals, int(active.sum())
 
 
@@ -410,9 +410,9 @@ def _predictor_cases(shu_osher_field):
     # stable equilibrium: every cell converges in sweep 1
     system = leveque_yee_system(-1000.0)
     grid = build_grid(3, 1 / 120, 0.2 / 120)
-    w = np.ones((6, 4, 1))
+    w = np.ones((4, 6, 1))
     yield "equilibrium", (system, grid, w, np.zeros_like(w))
-    yield "no cells", (system, grid, w[:0], w[:0])
+    yield "no cells", (system, grid, w[:, :0], w[:, :0])
 
 
 def test_predictor_matches_full_batch_oracle(shu_osher_field):
@@ -436,7 +436,7 @@ def test_predictor_matches_full_batch_oracle(shu_osher_field):
         if name == "equilibrium":
             assert len(trace) == 1 and unverified == 0
         if name == "no cells":
-            assert trace == [] and q.shape == (0, 4, grid.n_time, 1)
+            assert trace == [] and q.shape == (4, grid.n_time, 0, 1)
 
 
 @pytest.mark.parametrize("data", ["stiff pulse", "shu-osher"])
@@ -457,14 +457,34 @@ def test_predictor_sweeps_receive_only_updating_cells(monkeypatch, data,
     monkeypatch.setattr(predictor, "newton_sweep", spy)
     predictor_solve(system, w_nodal, dxw, grid)
     assert len(calls) == 3
-    rows = np.arange(w_nodal.shape[0])
+    rows = np.arange(w_nodal.shape[1])
     assert np.array_equal(calls[0][1], w_nodal)
     for (_, _, q_prev, res_prev), (q_in, w_in, _, _) in zip(calls, calls[1:]):
         kept = res_prev > tol
         rows = rows[kept]
-        assert 0 < rows.size < w_nodal.shape[0]
-        assert np.array_equal(w_in, w_nodal[rows])
-        assert np.array_equal(q_in, q_prev[kept])
+        assert 0 < rows.size < w_nodal.shape[1]
+        assert np.array_equal(w_in, w_nodal[:, rows])
+        assert np.array_equal(q_in, q_prev[:, :, kept])
+
+
+@pytest.mark.parametrize("data", ["stiff pulse", "shu-osher"])
+def test_predictor_stacks_receive_contiguous_states(monkeypatch, data,
+                                                    shu_osher_field):
+    """Every sweep's Q reaches ``populate_stacks`` C-contiguous, also after
+    cells drop out: a gather that leaves the cell axis strided would slow
+    every later product of the sweep."""
+    system, grid, w_nodal, dxw = (_stiff_pulse_data(3) if data == "stiff pulse"
+                                  else _shu_osher_data(shu_osher_field, 3))
+    sizes = []
+
+    def spy(system, Q, grid):
+        assert Q.flags.c_contiguous
+        sizes.append(Q.shape[2])
+        return populate_stacks(system, Q, grid)
+
+    monkeypatch.setattr(predictor, "populate_stacks", spy)
+    predictor_solve(system, w_nodal, dxw, grid)
+    assert len(sizes) == 3 and sizes[0] > sizes[1] > 0
 
 
 def test_predictor_error_locates_cell_in_batch(monkeypatch):
@@ -476,16 +496,16 @@ def test_predictor_error_locates_cell_in_batch(monkeypatch):
 
     def singular_at_target(stack, C, w, tau_phys, M):
         h, jac = residual_and_jacobian(stack, C, w, tau_phys, M)
-        sweeps.append(w.shape[0])
+        sweeps.append(w.shape[1])
         if len(sweeps) == 2:
-            rows = np.all(w == w_nodal[target], axis=(1, 2))
-            jac = np.where(rows[:, None, None, None, None], 0.0, jac)
+            rows = np.all(w == w_nodal[:, target, None], axis=(0, 2))
+            jac = np.where(rows[:, None, None], 0.0, jac)
         return h, jac
 
     monkeypatch.setattr(predictor, "residual_and_jacobian", singular_at_target)
     with pytest.raises(PredictorError) as err:
         predictor_solve(system, w_nodal, dxw, grid)
-    assert sweeps[1] < w_nodal.shape[0]
+    assert sweeps[1] < w_nodal.shape[1]
     assert set(err.value.nodes[:, 0].tolist()) == {target}
     assert f"[{target}, 0, 0]" in str(err.value)
 
@@ -499,7 +519,8 @@ def test_zero_scalar_jacobian_names_its_node(monkeypatch):
     def zero_at_node(stack, C, w, tau_phys, M):
         h, jac = residual_and_jacobian(stack, C, w, tau_phys, M)
         jac = jac.copy()
-        jac[node] = 0.0
+        cell, space, time = node
+        jac[space, time, cell] = 0.0
         return h, jac
 
     monkeypatch.setattr(predictor, "residual_and_jacobian", zero_at_node)

@@ -66,7 +66,7 @@ def test_interface_flux_constant_traces():
     system = linear_system(1.0, -1.0)
     grid = build_grid(3, 0.1, 0.02)
     q = np.array([0.3, 0.7])
-    traces = np.broadcast_to(q, (5, grid.n_time, 2)).copy()
+    traces = np.broadcast_to(q, (grid.n_time, 5, 2)).copy()
     got = interface_flux(traces, traces, system, grid)
     assert np.allclose(got, system.flux(q))
 
@@ -77,7 +77,7 @@ def test_interface_flux_single_time_node():
     left = np.array([[[0.9]]])
     right = np.array([[[0.2]]])
     got = interface_flux(left, right, system, grid)
-    assert np.allclose(got, rusanov_flux(left[:, 0], right[:, 0], system))
+    assert np.allclose(got, rusanov_flux(left[0], right[0], system))
 
 
 def test_interface_flux_quadrature_accuracy():
@@ -92,7 +92,7 @@ def test_interface_flux_quadrature_accuracy():
     for M, tol in ((2, 1e-8), (3, 1e-11)):
         grid = build_grid(M, 0.1, dt)
         traces = np.stack([system.exact_solution(x0, tj * dt)
-                           for tj in grid.tau], axis=0)[None]
+                           for tj in grid.tau], axis=0)[:, None]
         got = interface_flux(traces, traces, system, grid)
         tt, ww = gauss_legendre(12, 0.0, dt)
         want = sum(w * system.flux(system.exact_solution(x0, ti))
@@ -103,7 +103,7 @@ def test_interface_flux_quadrature_accuracy():
 def test_cell_source_zero_source():
     system = euler_system(1.4)
     grid = build_grid(2, 0.1, 0.02)
-    q = np.ones((4, 3, grid.n_time, 3))
+    q = np.ones((3, grid.n_time, 4, 3))
     assert np.allclose(cell_source(q, system, grid), 0.0)
 
 
@@ -118,25 +118,25 @@ def test_cell_source_identity_source_constant_state():
         eigenvalues=lambda q: np.ones(q.shape[:-1] + (2,)))
     grid = build_grid(2, 0.1, 0.02)
     c = np.array([1.5, -2.0])
-    q = np.broadcast_to(c, (3, 3, grid.n_time, 2)).copy()
+    q = np.broadcast_to(c, (3, grid.n_time, 3, 2)).copy()
     got = cell_source(q, ident, grid)
     assert np.allclose(got, c, atol=1e-14)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
 def test_cell_source_matches_literal_quadrature(M):
-    """cell_source is sum_s sum_j w_s w_j S(q[n, s, j]) per cell, to
+    """cell_source is sum_s sum_j w_s w_j S(q[s, j, n]) per cell, to
     rounding (Newton-Cotes weights in space, Gauss weights in time)."""
     system = leveque_yee_system(-1000.0)
     grid = build_grid(M, 0.1, 0.02)
     rng = np.random.default_rng(M)
-    q = rng.random((6, grid.n_space, grid.n_time, 1))
+    q = rng.random((grid.n_space, grid.n_time, 6, 1))
     s_nodal = system.source(q)
     w_space = newton_cotes_weights(M + 1)
     want = np.zeros((6, 1))
     for a in range(grid.n_space):
         for j in range(grid.n_time):
-            want += w_space[a] * grid.tau_weights[j] * s_nodal[:, a, j]
+            want += w_space[a] * grid.tau_weights[j] * s_nodal[a, j]
     got = cell_source(q, system, grid)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -347,6 +347,25 @@ def test_warm_run_keeps_heap_mapped():
     assert faults / result.n_steps < 20
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="needs glibc mallopt and getrusage")
+def test_warm_threaded_run_starts_no_threads():
+    """A warm two-thread run reuses its worker threads: a pool started
+    every step maps new thread stacks and faults them in (about five minor
+    faults per step on this case)."""
+    import resource
+    case = make_case("shu-osher")
+    cfg = build_config(case, 3, cells=400, t_out=0.01, n_threads=2)
+    run(cfg)
+    threads = threading.active_count()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    result = run(cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert result.n_steps == 19
+    assert threading.active_count() == threads
+    assert faults / result.n_steps < 1
+
+
 def test_transmissive_run_completes():
     system = leveque_yee_system(-1000.0)
 
@@ -444,13 +463,13 @@ def test_predictor_error_names_mesh_cell(monkeypatch, n_threads):
                       boundary="transmissive", cfl=0.2, n_threads=n_threads)
     grid = build_grid(2, field.dx, 0.2 * field.dx)
     coeffs = reconstruct_padded(field.extended(3), 2)
-    w_target = ReconstructionSet(2, coeffs).evaluate(grid.xi)[target + 1]
+    w_target = ReconstructionSet(2, coeffs).evaluate(grid.xi)[:, target + 1]
 
     def singular_at_target(stack, C, w, tau_phys, M):
         h, jac = residual_and_jacobian(stack, C, w, tau_phys, M)
-        rows = np.all(w == w_target, axis=(1, 2))
+        rows = np.all(w == w_target[:, None], axis=(0, 2))
         assert rows.sum() <= 1
-        return h, np.where(rows[:, None, None, None, None], 0.0, jac)
+        return h, np.where(rows[:, None, None], 0.0, jac)
 
     monkeypatch.setattr(predictor, "residual_and_jacobian", singular_at_target)
     with pytest.raises(PredictorError) as err:
@@ -522,7 +541,7 @@ def test_transition_cells_skip_systems():
     system = linear_system(1.0, -1.0e6)
     field = project_initial(lambda x: system.exact_solution(x, 0.0), 16, 0.0,
                             1.0 / 16)
-    W = np.random.default_rng(0).standard_normal((18, 3, 2))
+    W = np.random.default_rng(0).standard_normal((3, 18, 2))
     assert not transition_cells(field, system, W, 1.0).any()
 
 
@@ -560,11 +579,11 @@ def test_transition_cell_takes_two_state_solution():
     theta = (q_r - avg) / (q_r - q_l)
     front = -0.5 + theta + grid.tau * grid.dt / grid.dx
     want = np.where(grid.xi[:, None] < front[None, :], q_l, q_r)
-    assert np.array_equal(q[91, ..., 0], want)
+    assert np.array_equal(q[:, :, 91, 0], want)
 
-    keep = np.arange(len(q)) != 91
-    other, _, _ = predictor_solve(cfg.system, W[keep], dxW[keep], grid)
-    assert np.array_equal(q[keep], other)
+    keep = np.arange(q.shape[2]) != 91
+    other, _, _ = predictor_solve(cfg.system, W[:, keep], dxW[:, keep], grid)
+    assert np.array_equal(q[:, :, keep], other)
 
 
 def test_stiff_front_speed_at_subcell_offset():

@@ -39,6 +39,19 @@ def test_cellfield_ghost_rules():
     assert np.allclose(copy[:, 0], [0, 0, 0, 1, 2, 3, 4, 4, 4])
 
 
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_transmissive_ghosts_equal_edge_padding(n):
+    """Transmissive ghost cells repeat the edge cells: bitwise the edge
+    padding of np.pad, for up to five ghost cells a side (more than the
+    cells when n is small)."""
+    avg = np.random.default_rng(n).standard_normal((n, 3))
+    field = CellField(n, 1.0 / n, 0.0, avg, "transmissive")
+    for g in range(1, 6):
+        got = field.extended(g)
+        want = np.pad(avg, ((g, g), (0, 0)), mode="edge")
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
 def test_constant_field_reproduced_exactly(M):
     field = CellField(12, 1 / 12, 0.0, np.full((12, 2), 3.25))
@@ -76,7 +89,7 @@ def test_degree_M_polynomials_reconstructed_exactly(M):
     centers = field.cell_centers()
     xi_probe = np.linspace(-0.5, 0.5, 7)
     for i in range(M, 20 - M):
-        got = recon.evaluate(xi_probe)[i][:, 0]
+        got = recon.evaluate(xi_probe)[:, i, 0]
         want = f(centers[i] + xi_probe * dx)[:, 0]
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -90,8 +103,8 @@ def test_smooth_reconstruction_third_order_eoc():
         recon = reconstruct(field, 2)
         xi = np.linspace(-0.5, 0.5, 9)
         centers = field.cell_centers()
-        vals = recon.evaluate(xi)[:, :, 0]
-        want = f(centers[:, None] + xi[None, :] * dx)[..., 0]
+        vals = recon.evaluate(xi)[:, :, 0]             # (points, cells)
+        want = f(centers[None, :] + xi[:, None] * dx)[..., 0]
         errs.append(np.max(np.abs(vals - want)))
     eoc = np.log2(errs[0] / errs[1])
     assert eoc >= 2.7
@@ -118,7 +131,7 @@ def test_step_function_interface_values_stay_in_data_range(M):
     for i in range(30):
         lo = avg[max(0, i - M): i + M + 1, 0].min()
         hi = avg[max(0, i - M): i + M + 1, 0].max()
-        vals = recon.evaluate(np.array([-0.5, 0.5]))[i][:, 0]
+        vals = recon.evaluate(np.array([-0.5, 0.5]))[:, i, 0]
         assert vals.min() >= lo - 1e-8
         assert vals.max() <= hi + 1e-8
 
@@ -149,31 +162,32 @@ def test_reconstruction_set_interface():
     assert recon.coeffs.shape[0] == 8
     assert recon.coeffs[3].shape == (3, 2)
     vals = recon.evaluate(np.array([-0.5, 0.0, 0.5]))
-    assert vals.shape == (8, 3, 2)
+    assert vals.shape == (3, 8, 2)       # points first
     scalar = recon.evaluate(0.0)
     assert scalar.shape == (8, 2)
-    assert np.allclose(scalar, vals[:, 1])
+    assert np.allclose(scalar, vals[1])
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
 @pytest.mark.parametrize("m", [1, 3])
 def test_evaluate_matches_literal_basis_sum(M, m):
     """evaluate is sum_k c_k d^l/dxi^l xi^k per cell and component, to
-    rounding, and returns C-contiguous arrays for point sets and scalars."""
+    rounding, and returns C-contiguous points-first arrays for point sets
+    and (cells, m) for scalars."""
     rng = np.random.default_rng(M + 10 * m)
     recon = ReconstructionSet(M, rng.standard_normal((7, M + 1, m)))
     xi = np.array([-0.5, -0.1, 0.25, 0.5])
     for l in range(M + 2):
-        want = np.zeros((7, len(xi), m))
+        want = np.zeros((len(xi), 7, m))
         for k in range(l, M + 1):
             factor = math.perm(k, l) * xi ** (k - l)
-            want += factor[None, :, None] * recon.coeffs[:, k, None, :]
+            want += factor[:, None, None] * recon.coeffs[None, :, k, :]
         got = recon.evaluate(xi, l)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
         point = recon.evaluate(0.25, l)
         assert point.flags.c_contiguous
-        assert np.allclose(point, got[:, 2], rtol=1e-13, atol=1e-13)
+        assert np.allclose(point, got[2], rtol=1e-13, atol=1e-13)
 
 
 def test_reconstruct_rejects_unsupported_degree():
