@@ -140,11 +140,18 @@ def _apply(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
     # Contract the node axis with the stencil matrix: mat times the
     # (nodes, rest) slab of every leading index.  The node axes lead the
     # node-major arrays, so the space axis is one product over all cells
-    # and the time axis one per space node.
+    # and the time axis one per space node.  A one-column slab (one scalar
+    # cell on the time axis) would go to a matrix-vector kernel that rounds
+    # differently from the matrix product; doubling the column keeps a lone
+    # cell's values bitwise those it gets in any batch, so results do not
+    # depend on the batching (thread blocks, cells still updating).
     shape = values.shape
     axis %= len(shape)
     lead, rest = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
-    return (mat @ values.reshape(lead, shape[axis], rest)).reshape(shape)
+    data = values.reshape(lead, shape[axis], rest)
+    if rest == 1:
+        data = np.concatenate((data, data), axis=2)
+    return (mat @ data)[..., :rest].reshape(shape)
 
 
 def space_derivative(values: np.ndarray, l: int, grid: NodeGrid,

@@ -242,7 +242,8 @@ def test_derivatives_match_per_cell_products(M, m):
     cell and space node.  A one-column slab (the time axis at m = 1) makes
     its product a matrix-vector kernel that sums in another order; there
     the bound is n eps sum_q |D_pq x_q|, since cancelling entries can
-    differ by many ulps."""
+    differ by many ulps.  The derivatives of one cell alone equal its part
+    of the batch bitwise, so results do not depend on the batching."""
     grid = build_grid(M, 0.1, 0.01)
     rng = np.random.default_rng(10 * M + m)
     n_cells = 37
@@ -260,3 +261,7 @@ def test_derivatives_match_per_cell_products(M, m):
                 assert np.all(np.abs(got - want) <= bound)
             else:
                 np.testing.assert_array_max_ulp(got, want, maxulp=1)
+            # a batch of one cell is bitwise that cell's part of the batch
+            for c in (0, 17):
+                alone = derivative(values[:, :, c:c + 1], l, grid, axis=axis)
+                assert np.array_equal(alone, got[:, :, c:c + 1])
