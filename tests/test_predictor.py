@@ -344,8 +344,7 @@ def test_predictor_stiff_node_residual_small():
     assert final < residuals[0] / 50.0
 
 
-@pytest.mark.parametrize("M", [2, 3, 4])
-def test_predictor_early_exit_is_per_cell(M):
+def test_predictor_early_exit_is_per_cell():
     """Partitioning the batch must not change results (early exit per cell),
     down to blocks of a single cell."""
     system = leveque_yee_system(-1000.0)
@@ -353,12 +352,14 @@ def test_predictor_early_exit_is_per_cell(M):
     dt = 0.2 * dx
     avg = np.where(np.arange(n) < 20, 1.0, 0.0)[:, None]
     field = CellField(n, dx, 0.0, avg, "transmissive")
-    grid, w_nodal, dxw = nodal_data_from_field(system, field, M, dt)
-    full, _, _ = predictor_solve(system, w_nodal, dxw, grid)
-    for bounds in ((0, 13, 29, 40), tuple(range(n + 1))):
-        parts = [predictor_solve(system, w_nodal[:, a:b], dxw[:, a:b], grid)[0]
-                 for a, b in zip(bounds[:-1], bounds[1:])]
-        assert np.array_equal(full, np.concatenate(parts, axis=2))
+    for M in (2, 3, 4):
+        grid, w_nodal, dxw = nodal_data_from_field(system, field, M, dt)
+        full, _, _ = predictor_solve(system, w_nodal, dxw, grid)
+        for bounds in ((0, 13, 29, 40), tuple(range(n + 1))):
+            parts = [predictor_solve(system, w_nodal[:, a:b], dxw[:, a:b],
+                                     grid)[0]
+                     for a, b in zip(bounds[:-1], bounds[1:])]
+            assert np.array_equal(full, np.concatenate(parts, axis=2)), M
 
 
 def _full_batch_solve(system, w_nodal, dxw, grid, tol):
