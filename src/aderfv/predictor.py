@@ -224,16 +224,13 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
     M = grid.M
     Q = initial_guess(system, W_nodal, dxW, grid)
     residuals = []
-    n_cells = Q.shape[CELL_AXIS]
-    cells = np.arange(n_cells)      # indices of the cells still updating
+    cells = np.arange(Q.shape[CELL_AXIS])   # indices of the cells still updating
     for _ in range(M):
         if cells.size == 0:
             break
-        if cells.size == n_cells:
-            q, w = Q, W_nodal
-        else:   # np.take keeps the gathered rows C-contiguous
-            q = np.take(Q, cells, axis=CELL_AXIS)
-            w = np.take(W_nodal, cells, axis=CELL_AXIS - 1)
+        # np.take keeps the gathered rows C-contiguous
+        q = np.take(Q, cells, axis=CELL_AXIS)
+        w = np.take(W_nodal, cells, axis=CELL_AXIS - 1)
         stack = populate_stacks(system, q, grid)
         C = matrix_c(stack, M, grid)
         try:

@@ -26,7 +26,7 @@ import ctypes
 import functools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -261,7 +261,10 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
             raise exc.relabel(np.arange(lo, hi)) from None
         return residuals, unverified
 
-    residual_lists, unverified = zip(*_pool(n_threads).map(work, blocks))
+    # wait for every block, so an error is raised only once none still runs
+    futures = [_pool(n_threads).submit(work, block) for block in blocks]
+    wait(futures)
+    residual_lists, unverified = zip(*(f.result() for f in futures))
     merged = [max(r[i] for r in residual_lists if len(r) > i)
               for i in range(max(map(len, residual_lists)))]
     return q_out, merged, sum(unverified)
