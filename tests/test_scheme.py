@@ -2,6 +2,7 @@
 import math
 import platform
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -475,6 +476,27 @@ def test_predictor_error_names_mesh_cell(monkeypatch, n_threads):
     with pytest.raises(PredictorError) as err:
         nodal_solution(field, cfg, grid)
     assert set(err.value.nodes[:, 0].tolist()) == {target}
+
+
+def test_predictor_error_waits_for_every_thread_block(monkeypatch):
+    """An error in the first thread block is raised only once the other
+    block has finished: no solve still runs after ``_predict`` raised."""
+    finished = []
+
+    def solve(system, W_nodal, dxW, grid, cfg):
+        if W_nodal[0, 0, 0] == 0.0:     # the block holding cell 0
+            raise PredictorError(np.array([[0, 0, 0]]))
+        time.sleep(0.2)
+        finished.append(True)
+        return np.zeros((W_nodal.shape[0], grid.n_time) + W_nodal.shape[1:]), [0.0], 0
+
+    monkeypatch.setattr(scheme, "predictor_solve", solve)
+    cfg = make_config(linear_system(1.0, -1.0), None, 3, 8, n_threads=2)
+    grid = build_grid(2, 0.1, 0.01)
+    W_nodal = np.broadcast_to(np.arange(8.0)[:, None], (3, 8, 2)).copy()
+    with pytest.raises(PredictorError):
+        scheme._predict(cfg, W_nodal, W_nodal, grid)
+    assert finished == [True]
 
 
 def test_predictor_error_from_run_names_step_and_cell(monkeypatch):
