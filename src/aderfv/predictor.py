@@ -36,29 +36,20 @@ class PredictorError(RuntimeError):
     """Newton system became singular (stiffness beyond the method's design).
 
     ``nodes`` holds the (cell, space node, time node) indices of the singular
-    systems, the cell counted within the batch passed to the predictor;
-    :func:`relabel` maps it to the array the batch was gathered from (the
-    scheme names the mesh cell).  ``step`` is the 1-based time step of the
-    run that raised it, or None below ``scheme.run``.
+    systems, the cell counted in the node arrays given to
+    :func:`predictor_solve` (the scheme shifts it to the mesh cell).
+    ``step`` is the 1-based time step of the run that raised it, or None
+    below ``scheme.run``.
     """
 
     def __init__(self, nodes: np.ndarray, step: int | None = None):
-        where = "" if step is None else f" in step {step}"
-        super().__init__(f"singular Newton system{where} at (cell, space "
-                         f"node, time node) indices {nodes[:10].tolist()}")
         self.nodes = nodes
         self.step = step
 
-    def relabel(self, cells: np.ndarray) -> "PredictorError":
-        """The same error with cell i renamed ``cells[i]`` (a batch of cells
-        gathered from a larger array names them by their index there)."""
-        nodes = self.nodes.copy()
-        nodes[:, 0] = cells[nodes[:, 0]]
-        return PredictorError(nodes, self.step)
-
-    def at_step(self, step: int) -> "PredictorError":
-        """The same error, naming the time step it was raised in."""
-        return PredictorError(self.nodes, step)
+    def __str__(self) -> str:
+        where = "" if self.step is None else f" in step {self.step}"
+        return (f"singular Newton system{where} at (cell, space node, time "
+                f"node) indices {self.nodes[:10].tolist()}")
 
 
 @dataclass(frozen=True)
@@ -178,11 +169,13 @@ def residual_and_jacobian(stack: NodeDerivativeStack, C: dict,
 
 
 def newton_sweep(stack: NodeDerivativeStack, C: dict,
-                 W_nodal: np.ndarray, grid: NodeGrid):
+                 W_nodal: np.ndarray, grid: NodeGrid,
+                 cells: np.ndarray | None = None):
     """One Newton step Q <- Q - delta, J delta = H, at every node.
 
     Returns the updated nodal values together with the per-cell max-norm of
-    H at the incoming iterate.
+    H at the incoming iterate.  ``cells`` names each cell of the batch in a
+    ``PredictorError`` (default: its position in the batch).
     """
     tau_phys = grid.tau * grid.dt
     h, jac = residual_and_jacobian(stack, C, W_nodal, tau_phys, grid.M)
@@ -197,48 +190,60 @@ def newton_sweep(stack: NodeDerivativeStack, C: dict,
     except np.linalg.LinAlgError:
         singular = ~(np.abs(_det(jac)) > np.finfo(float).tiny)
         # (cell, space node, time node) rows, sorted by cell
-        raise PredictorError(np.argwhere(
-            np.moveaxis(singular, CELL_AXIS, 0))) from None
+        nodes = np.argwhere(np.moveaxis(singular, CELL_AXIS, 0))
+        if cells is not None:
+            nodes[:, 0] = cells[nodes[:, 0]]
+        raise PredictorError(nodes) from None
     return stack.Q - delta, cell_res
 
 
 def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
                     dxW: np.ndarray, grid: NodeGrid,
-                    cfg: PredictorConfig | None = None
+                    cfg: PredictorConfig | None = None,
+                    cells: np.ndarray | None = None,
+                    out: np.ndarray | None = None
                     ) -> tuple[np.ndarray, list, int]:
-    """Run the nested Picard iteration for a batch of cells.
+    """Run the nested Picard iteration for the cells ``cells`` (default: all)
+    of the node arrays ``W_nodal`` and ``dxW``, shape (n_S, n_cells, m).
 
     Up to M sweeps of {populate stacks, build C matrices, Newton step at
-    every node}, each over the rows of the cells still updating only; a cell
-    whose incoming residual meets the tolerance keeps its values and leaves
-    the iteration (the early exit is per cell, so results do not depend on
-    how cells are batched).  ``W_nodal`` and ``dxW`` have shape
-    (n_S, n_cells, m).  Returns the nodal values Q, shape
-    (n_S, n_T, n_cells, m); per sweep the max-norm residual of the incoming
-    iterate over the cells it evaluated (above ``residual_tol`` this is the
-    max over all cells, since a cell that left holds a residual at or below
-    it); and the number of cells left unverified, i.e. still updating after
-    sweep M, whose final iterate no residual was evaluated for.
+    every node}, each over the cells still updating only; a cell whose
+    incoming residual meets the tolerance keeps its values and leaves (the
+    exit is per cell, so results do not depend on which cells are solved
+    together).  Writes each cell's values once into ``out``, shape
+    (n_S, n_T, n_cells, m) (default: a new array), and returns it; per sweep
+    the max-norm residual of the incoming iterate over the cells it
+    evaluated (above ``residual_tol`` the max over all cells, since a cell
+    that left holds a residual at or below it); and the number of cells
+    left unverified, still updating after sweep M.  A ``PredictorError``
+    names cells by their index in ``W_nodal``.
     """
     cfg = cfg or PredictorConfig()
     M = grid.M
-    Q = initial_guess(system, W_nodal, dxW, grid)
+    cells = np.arange(W_nodal.shape[1]) if cells is None else cells
+    if out is None:
+        out = np.empty((W_nodal.shape[0], grid.n_time) + W_nodal.shape[1:])
+    # np.take keeps the gathered rows C-contiguous
+    w = np.take(W_nodal, cells, axis=CELL_AXIS - 1)
+    Q = initial_guess(system, w, np.take(dxW, cells, axis=CELL_AXIS - 1), grid)
+    q, rows = Q, np.arange(cells.size)   # the updating cells' iterate and rows in Q
     residuals = []
-    cells = np.arange(Q.shape[CELL_AXIS])   # indices of the cells still updating
     for _ in range(M):
-        if cells.size == 0:
+        if rows.size == 0:
             break
-        # np.take keeps the gathered rows C-contiguous
-        q = np.take(Q, cells, axis=CELL_AXIS)
-        w = np.take(W_nodal, cells, axis=CELL_AXIS - 1)
         stack = populate_stacks(system, q, grid)
         C = matrix_c(stack, M, grid)
-        try:
-            q_new, cell_res = newton_sweep(stack, C, w, grid)
-        except PredictorError as exc:    # locate the cell within the batch
-            raise exc.relabel(cells) from None
+        q_new, cell_res = newton_sweep(stack, C, w, grid, cells[rows])
         residuals.append(float(cell_res.max()))
-        updating = cell_res > cfg.residual_tol
-        cells = cells[updating]
-        Q[:, :, cells] = q_new[:, :, updating]
-    return Q, residuals, int(cells.size)
+        updating = (cell_res > cfg.residual_tol).nonzero()[0]
+        rows = rows[updating]
+        q = np.take(q_new, updating, axis=CELL_AXIS)
+        w = np.take(w, updating, axis=CELL_AXIS - 1)
+        Q[:, :, rows] = q
+    # a slice copy per run of consecutive cells (cheaper than a fancy scatter)
+    new_run = np.ones(cells.size, dtype=bool)
+    np.not_equal(cells[1:] - cells[:-1], 1, out=new_run[1:])
+    starts = new_run.nonzero()[0].tolist()
+    for a, b in zip(starts, starts[1:] + [cells.size]):
+        out[:, :, cells[a]:cells[a] + b - a] = Q[:, :, a:b]
+    return out, residuals, int(rows.size)

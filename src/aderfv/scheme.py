@@ -26,14 +26,14 @@ import ctypes
 import functools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .nodes import (CELL_AXIS, NodeGrid, SUPPORTED_M, build_grid,
-                    gauss_legendre, newton_cotes_weights)
+from .nodes import (NodeGrid, SUPPORTED_M, build_grid, gauss_legendre,
+                    newton_cotes_weights)
 from .predictor import PredictorConfig, PredictorError, predictor_solve
 from .systems import HyperbolicSystem, InadmissibleStateError
 from .weno import CellField, ReconstructionSet, WenoConfig, reconstruct_padded
@@ -86,7 +86,11 @@ class RunConfig:
     def thread_count(self) -> int:
         if self.n_threads is not None:
             return max(1, self.n_threads)
-        return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
+        text = os.environ.get(THREADS_ENV_VAR, "1")
+        try:
+            return max(1, int(text))
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV_VAR}={text!r} is not an integer") from None
 
 
 def rusanov_flux(q_left: np.ndarray, q_right: np.ndarray,
@@ -223,60 +227,51 @@ def two_state_nodes(field: CellField, system: HyperbolicSystem,
 
 
 @functools.cache
-def _pool(n_threads: int) -> ThreadPoolExecutor:
-    """One worker pool per thread count, kept for the life of the process,
-    so a step starts no threads (and maps no new thread stacks)."""
-    return ThreadPoolExecutor(max_workers=n_threads)
+def _pool(n_workers: int) -> ThreadPoolExecutor:
+    """One worker pool per size, kept for the life of the process, so a
+    step starts no threads (and maps no new thread stacks)."""
+    return ThreadPoolExecutor(max_workers=n_workers)
 
 
 def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
-             grid: NodeGrid):
-    """Predictor over all cells, optionally split into thread blocks.
-
-    The per-cell solve is independent, so the result is bitwise identical
-    for any thread count.  Each block, a range of the cell axis, drops its
-    converged cells from its own later sweeps; the residual trace takes per
-    sweep the largest entry of any block that ran it, i.e. the max over the
-    cells evaluated, and the unverified cells of the blocks add up.  A
-    ``PredictorError`` names the cell by its index in ``W_nodal``.
-    """
+             grid: NodeGrid, cells: np.ndarray, out: np.ndarray):
+    """Predictor values of the cells ``cells``, written to ``out``, with the
+    cells split into consecutive blocks: the first runs on the calling
+    thread, the others in the kept pool.  The per-cell solve is independent,
+    so the values are bitwise identical for any thread count.  Returns the
+    residual trace, per sweep the largest entry of any block that ran it,
+    and the sum of the blocks' unverified cells."""
     n_threads = config.thread_count()
-    n_cells = W_nodal.shape[CELL_AXIS - 1]
-    if n_threads <= 1 or n_cells < 2 * n_threads:
+    if cells.size < 2 * n_threads:      # too few cells to share
+        n_threads = 1
+    blocks = [cells[i * cells.size // n_threads:(i + 1) * cells.size // n_threads]
+              for i in range(n_threads)]
+
+    def solve(block):
         return predictor_solve(config.system, W_nodal, dxW, grid,
-                               config.predictor)
+                               config.predictor, block, out)
 
-    bounds = np.linspace(0, n_cells, n_threads + 1, dtype=int)
-    blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    n_s, _, m = W_nodal.shape
-    q_out = np.empty((n_s, grid.n_time, n_cells, m))
-
-    def work(block):
-        lo, hi = block
-        try:
-            q_out[:, :, lo:hi], residuals, unverified = predictor_solve(
-                config.system, W_nodal[:, lo:hi], dxW[:, lo:hi], grid,
-                config.predictor)
-        except PredictorError as exc:
-            raise exc.relabel(np.arange(lo, hi)) from None
-        return residuals, unverified
-
-    # wait for every block, so an error is raised only once none still runs
-    futures = [_pool(n_threads).submit(work, block) for block in blocks]
-    wait(futures)
-    residual_lists, unverified = zip(*(f.result() for f in futures))
-    merged = [max(r[i] for r in residual_lists if len(r) > i)
-              for i in range(max(map(len, residual_lists)))]
-    return q_out, merged, sum(unverified)
+    futures = [_pool(n_threads - 1).submit(solve, b) for b in blocks[1:]]
+    try:
+        results = [solve(blocks[0])]
+    finally:    # an error is raised only once no block still runs
+        for future in futures:
+            future.exception()
+    results += [f.result() for f in futures]
+    merged = []
+    for _, residuals, _ in results:     # max per sweep, in block order
+        merged = [*map(max, merged, residuals), *merged[len(residuals):],
+                  *residuals[len(merged):]]
+    return merged, sum(unverified for _, _, unverified in results)
 
 
 def nodal_solution(field: CellField, config: RunConfig, grid: NodeGrid):
     """Space-time values at the nodes of cells -1 .. N, shape (n_S, n_T, N+2, m).
 
-    Transition cells take the two-state solution; every other cell goes
-    through the predictor.  Returns the values, the predictor residual trace
-    and the number of unverified cells.  A ``PredictorError`` names the mesh
-    cell (-1 and N are the ghost cells).
+    Transition cells take the two-state solution; the predictor writes every
+    other cell into the same array.  Returns the values, the predictor
+    residual trace and the number of unverified cells.  A ``PredictorError``
+    names the mesh cell (-1 and N are the ghost cells).
     """
     M = config.M
     coeffs = reconstruct_padded(field.extended(M + 1), M, config.weno)
@@ -285,19 +280,16 @@ def nodal_solution(field: CellField, config: RunConfig, grid: NodeGrid):
     dxW = recon.evaluate(grid.xi, l=1) / field.dx
 
     flags = transition_cells(field, config.system, W_nodal, grid.dt)
-    cells = np.flatnonzero(~flags)
-    try:
-        if cells.size == flags.size:
-            return _predict(config, W_nodal, dxW, grid)
-        n_s, n, m = W_nodal.shape
-        q_nodal = np.empty((n_s, grid.n_time, n, m))
+    q_nodal = np.empty((W_nodal.shape[0], grid.n_time) + W_nodal.shape[1:])
+    if flags.any():
         q_nodal[:, :, flags] = two_state_nodes(field, config.system, flags,
                                                grid)
-        q_nodal[:, :, cells], residuals, unverified = _predict(
-            config, np.take(W_nodal, cells, axis=CELL_AXIS - 1),
-            np.take(dxW, cells, axis=CELL_AXIS - 1), grid)
-    except PredictorError as exc:
-        raise exc.relabel(cells - 1) from None
+    try:
+        residuals, unverified = _predict(config, W_nodal, dxW, grid,
+                                         np.flatnonzero(~flags), q_nodal)
+    except PredictorError as exc:   # index 0 of the node arrays is cell -1
+        exc.nodes[:, 0] -= 1
+        raise
     return q_nodal, residuals, unverified
 
 
@@ -410,7 +402,8 @@ def run(config: RunConfig) -> RunResult:
         try:
             field_now, trace = step(field_now, config, dt)
         except PredictorError as exc:
-            raise exc.at_step(len(steps) + 1) from None
+            exc.step = len(steps) + 1
+            raise
         if not np.all(np.isfinite(field_now.averages)):
             bad = np.argwhere(~np.isfinite(field_now.averages))[:5]
             raise SchemeError(

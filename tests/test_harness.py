@@ -191,6 +191,21 @@ def test_cli_solve_writes_profile(tmp_path, capsys):
     assert (tmp_path / "solution.dat").exists()
 
 
+def test_cli_rejects_non_integer_thread_count(tmp_path, capsys,
+                                               monkeypatch):
+    """A thread count that is not an integer stops the run with an error
+    naming the environment variable and its value."""
+    from aderfv.scheme import THREADS_ENV_VAR
+    monkeypatch.setenv(THREADS_ENV_VAR, "two")
+    rc = cli_main(["solve", "--system", "linear", "--order", "2",
+                   "--cells", "16", "--tout", "0.05",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{THREADS_ENV_VAR}='two'" in err
+    assert not (tmp_path / "solution.dat").exists()
+
+
 def test_cli_converge_parses_ranges(tmp_path):
     rc = cli_main(["converge", "--system", "linear", "--orders", "2..3",
                    "--meshes", "8,16", "--tout", "0.05",

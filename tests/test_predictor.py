@@ -453,8 +453,8 @@ def test_predictor_sweeps_receive_only_updating_cells(monkeypatch, data,
     tol = PredictorConfig().residual_tol
     calls = []
 
-    def spy(stack, C, w, grid):
-        q_new, cell_res = newton_sweep(stack, C, w, grid)
+    def spy(stack, C, w, grid, cells=None):
+        q_new, cell_res = newton_sweep(stack, C, w, grid, cells)
         calls.append((stack.Q.copy(), w.copy(), q_new, cell_res))
         return q_new, cell_res
 

@@ -1,4 +1,5 @@
 """Finite-volume update: fluxes, source quadrature, CFL, marching loop."""
+import dataclasses
 import math
 import platform
 import threading
@@ -407,6 +408,17 @@ def test_residual_trace_kept_and_thread_independent():
     assert records[0] == records[1]
 
 
+def test_thread_count_keeps_stiff_run_bitwise():
+    """A stiff run, whose later sweeps evaluate only the cells still
+    updating (down to a single cell), gives the same averages and step
+    records at one and two threads."""
+    case = make_case("leveque-yee", beta=-1000.0)
+    one, two = (run(build_config(case, order=5, n_threads=n)) for n in (1, 2))
+    assert one.n_steps == 450
+    assert np.array_equal(one.field.averages, two.field.averages)
+    assert one.steps == two.steps
+
+
 @pytest.mark.parametrize("n_threads", [1, 3])
 def test_unverified_cells_are_last_sweep_updates(monkeypatch, n_threads):
     """A step's ``unverified_cells`` is the number of cells whose residual in
@@ -452,21 +464,33 @@ def test_unverified_cells_zero_at_equilibrium():
     assert all(s.unverified_cells == 0 for s in res.steps)
 
 
-@pytest.mark.parametrize("n_threads", [1, 2, 3])
-def test_predictor_error_names_mesh_cell(monkeypatch, n_threads):
+@pytest.mark.parametrize(
+    "n_threads, beta, target, target_avg, transition_left",
+    [pytest.param(n, -1000.0, 90, 0.7, False, id=str(n)) for n in (1, 2, 3)]
+    # stiff: the front cell 29 is a transition cell; the target is a dip in
+    # the plateau, so that no other cell has its node values
+    + [pytest.param(n, -10000.0, 60, 0.999, True, id=f"transition-left-{n}")
+       for n in (1, 2, 3)])
+def test_predictor_error_names_mesh_cell(monkeypatch, n_threads, beta, target,
+                                         target_avg, transition_left):
     """A singular Newton system in one cell is reported by its mesh index at
-    any thread count, although a thread block counts its cells from its own
-    first one."""
-    n, target = 120, 90
+    any thread count, also when a transition cell to its left leaves a hole
+    in the predictor's cell list."""
+    n = 120
     avg = np.zeros((n, 1))
     avg[30:90] = 1.0
     avg[29], avg[90] = 0.3, 0.7
+    avg[target] = target_avg
     field = CellField(n, 1.0 / n, 0.0, avg, "transmissive")
-    cfg = make_config(leveque_yee_system(-1000.0), None, 3, n,
+    cfg = make_config(leveque_yee_system(beta), None, 3, n,
                       boundary="transmissive", cfl=0.2, n_threads=n_threads)
     grid = build_grid(2, field.dx, 0.2 * field.dx)
     coeffs = reconstruct_padded(field.extended(3), 2)
-    w_target = ReconstructionSet(2, coeffs).evaluate(grid.xi)[:, target + 1]
+    W = ReconstructionSet(2, coeffs).evaluate(grid.xi)
+    flags = transition_cells(field, cfg.system, W, grid.dt)
+    assert flags[:target + 1].any() == transition_left
+    assert not flags[target + 1]
+    w_target = W[:, target + 1]
 
     def singular_at_target(stack, C, w, tau_phys, M):
         h, jac = residual_and_jacobian(stack, C, w, tau_phys, M)
@@ -485,19 +509,20 @@ def test_predictor_error_waits_for_every_thread_block(monkeypatch):
     block has finished: no solve still runs after ``_predict`` raised."""
     finished = []
 
-    def solve(system, W_nodal, dxW, grid, cfg):
-        if W_nodal[0, 0, 0] == 0.0:     # the block holding cell 0
+    def solve(system, W_nodal, dxW, grid, cfg, cells, out):
+        if cells[0] == 0:     # the block holding cell 0
             raise PredictorError(np.array([[0, 0, 0]]))
         time.sleep(0.2)
         finished.append(True)
-        return np.zeros((W_nodal.shape[0], grid.n_time) + W_nodal.shape[1:]), [0.0], 0
+        return out, [0.0], 0
 
     monkeypatch.setattr(scheme, "predictor_solve", solve)
     cfg = make_config(linear_system(1.0, -1.0), None, 3, 8, n_threads=2)
     grid = build_grid(2, 0.1, 0.01)
     W_nodal = np.broadcast_to(np.arange(8.0)[:, None], (3, 8, 2)).copy()
+    out = np.empty((3, grid.n_time, 8, 2))
     with pytest.raises(PredictorError):
-        scheme._predict(cfg, W_nodal, W_nodal, grid)
+        scheme._predict(cfg, W_nodal, W_nodal, grid, np.arange(8), out)
     assert finished == [True]
 
 
@@ -540,6 +565,8 @@ def test_thread_count_env_variable(monkeypatch):
     monkeypatch.setenv(THREADS_ENV_VAR, "1")
     res1 = run(cfg)
     assert np.array_equal(res.field.averages, res1.field.averages)
+    monkeypatch.setenv(THREADS_ENV_VAR, "0")    # below 1: one thread
+    assert cfg.thread_count() == 1
 
 
 def stiff_front(beta, order, offset=0.0):
@@ -594,7 +621,13 @@ def test_transition_cells_idle_at_mild_stiffness(monkeypatch):
 def test_transition_cell_takes_two_state_solution():
     cfg = stiff_front(-10000.0, 3, offset=0.5)
     field, grid, W, dxW = first_step_nodes(cfg)
-    q, _, _ = nodal_solution(field, cfg, grid)
+    q, residuals, unverified = nodal_solution(
+        field, dataclasses.replace(cfg, n_threads=1), grid)
+    for n_threads in (2, 3):
+        q_n, residuals_n, unverified_n = nodal_solution(
+            field, dataclasses.replace(cfg, n_threads=n_threads), grid)
+        assert np.array_equal(q_n, q)
+        assert (residuals_n, unverified_n) == (residuals, unverified)
 
     # Cell 90 sits between q_L ~ 1 (cell 89) and q_R ~ 0 (cell 91); its front
     # starts where it conserves the average and moves at the
