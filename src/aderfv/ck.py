@@ -20,20 +20,20 @@ implicit predictor needs; it is the only form of the functional.
 All data is plain per-order dicts of arrays: a :class:`NodeDerivativeStack`
 family maps derivative order (from 0, the field itself) to an array, C is a
 dict keyed ``(k, l)`` and :func:`taylor_terms` returns the time derivatives
-and their explicit parts keyed by order.  The functions broadcast over
-leading array axes, so a "node" may equally be a single state or a whole
-grid of space-time nodes times cells; :func:`matrix_c` alone needs the
-predictor's node-major (n_S, n_T, cells, m, m) layout, since it
-differentiates across the time nodes on ``nodes.TIME_AXIS``.
+and their explicit parts keyed by order.  Arrays are component-first (see
+:mod:`aderfv.nodes`): a vector is (m, ...) and a matrix (m, m, ...), and the
+functions broadcast over the trailing node axes, so a "node" may equally be
+a single state or a whole grid of space-time nodes times cells;
+:func:`matrix_c` alone needs the predictor's (m, m, n_S, n_T, cells) layout,
+since it differentiates across the time nodes on ``nodes.TIME_AXIS``.
 
 All m x m algebra of the solver goes through the batched helpers
-``_matvec``, ``_matmul``, ``_solve`` and ``_det``.  At m = 1 (scalar laws)
-they multiply and divide elementwise, which skips the per-matrix dispatch of
-``@`` and LAPACK and gives the same values (the sign of an exact zero
-product aside).  For m > 1, ``_matvec`` sums the m column products
-``mat[..., j] * vec[..., j]`` over all nodes at once (the same values as
-``@`` up to the order of the sum); the others are ``@``,
-``np.linalg.solve`` and ``np.linalg.det``.
+``_matvec``, ``_matmul``, ``_solve`` and ``_det``.  ``_matvec`` and
+``_matmul`` sum the m products of contiguous component slabs,
+``mat[:, k] * vec[k]`` and ``a[:, k, None] * b[k]``, over all nodes at once;
+at m = 1 (scalar laws) each is one elementwise product.  ``_solve`` and
+``_det`` divide and take the entry at m = 1, and call ``np.linalg`` on the
+matrix axes moved last otherwise.
 """
 from __future__ import annotations
 
@@ -68,40 +68,45 @@ def pascal_coeffs(l: int):
 
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Batched m x m matrix times m-vector."""
-    if mat.shape[-1] == 1:
-        return mat[..., 0] * vec
-    out = mat[..., 0] * vec[..., 0, None]
-    for j in range(1, mat.shape[-1]):
-        out += mat[..., j] * vec[..., j, None]
+    """Batched m x m matrix (m, m, ...) times m-vector (m, ...)."""
+    if mat.shape[0] == 1:
+        return mat[0] * vec
+    out = mat[:, 0] * vec[0]
+    for k in range(1, mat.shape[0]):
+        out += mat[:, k] * vec[k]
     return out
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched m x m matrix product."""
-    if a.shape[-1] == 1:
+    """Batched m x m matrix product of (m, m, ...) arrays."""
+    if a.shape[0] == 1:
         return a * b
-    return a @ b
+    out = a[:, 0, None] * b[0]
+    for k in range(1, a.shape[0]):
+        out += a[:, k, None] * b[k]
+    return out
 
 
 def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched solve of mat x = rhs for m-vectors x.
+    """Batched solve of mat x = rhs for m-vectors x, (m, m, ...) and (m, ...).
 
     Raises ``np.linalg.LinAlgError`` when a system is exactly singular, as
     LAPACK does (a zero pivot).
     """
-    if mat.shape[-1] == 1:
+    if mat.shape[0] == 1:
         if not mat.all():
             raise np.linalg.LinAlgError("Singular matrix")
-        return rhs / mat[..., 0]
-    return np.linalg.solve(mat, rhs[..., None])[..., 0]
+        return rhs / mat[0]
+    x = np.linalg.solve(np.moveaxis(mat, (0, 1), (-2, -1)),
+                        np.moveaxis(rhs, 0, -1)[..., None])
+    return np.moveaxis(x[..., 0], -1, 0)
 
 
 def _det(mat: np.ndarray) -> np.ndarray:
-    """Batched determinant; at m = 1 the entry itself."""
-    if mat.shape[-1] == 1:
-        return mat[..., 0, 0]
-    return np.linalg.det(mat)
+    """Batched determinant of (m, m, ...) matrices; at m = 1 the entry."""
+    if mat.shape[0] == 1:
+        return mat[0, 0]
+    return np.linalg.det(np.moveaxis(mat, (0, 1), (-2, -1)))
 
 
 class NodeDerivativeStack:
@@ -173,7 +178,7 @@ def matrix_c(stack: NodeDerivativeStack, M: int, grid: NodeGrid) -> dict:
     ``C(1,1) = -A``; the diagonal advances as ``C(k,k) = C(k-1,k-1) D(k,k)``
     and off-diagonal entries add the time gradient of the previous level,
     obtained by differentiating the interpolant of nodal C values across the
-    time nodes (axis 1 of the (n_S, n_T, cells, m, m) node arrays) and
+    time nodes (``TIME_AXIS`` of the (m, m, n_S, n_T, cells) arrays) and
     scaling by dt**-1.  The loop reads every D(p, q), 2 <= p <= M,
     1 <= q <= p, so they are all built first.
     """

@@ -19,11 +19,18 @@ from .harness import PRESET_NAMES, run_preset
 
 
 def _parse_int_list(text: str, doubling: bool = False):
-    """Parse "2,3,4", "2..5" (consecutive) or "8..128" (doubling meshes)."""
+    """Parse "2,3,4", "2..5" (consecutive) or "8..128" (doubling meshes).
+
+    Raises ValueError on a non-integer entry, and on a doubling range that
+    does not start above zero (doubling would never pass its end).
+    """
     text = text.strip()
     if ".." in text:
         lo, hi = (int(p) for p in text.split("..", 1))
         if doubling:
+            if lo < 1:
+                raise ValueError(f"doubling range {text!r} must start at a "
+                                 "positive count")
             out = []
             n = lo
             while n <= hi:
@@ -97,8 +104,13 @@ def main(argv=None) -> int:
         if "orders" not in opts or "meshes" not in opts:
             print("error: converge needs --orders and --meshes", file=sys.stderr)
             return 2
-        opts["orders"] = _parse_int_list(str(opts["orders"]))
-        opts["meshes"] = _parse_int_list(str(opts["meshes"]), doubling=True)
+        try:
+            opts["orders"] = _parse_int_list(str(opts["orders"]))
+            opts["meshes"] = _parse_int_list(str(opts["meshes"]),
+                                             doubling=True)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         artifacts = run_preset(system, opts, out_dir=out_dir)
     except (ValueError, RuntimeError) as exc:

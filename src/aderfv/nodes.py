@@ -7,14 +7,16 @@ derivatives of nodal data are obtained by differentiating the unique
 interpolating polynomial through the nodes; the stencil weights are generated
 once per order by solving the interpolation (Vandermonde) conditions.
 
-Nodal arrays are node-major: the space node axis comes first, then the time
-node axis, then the cells, then the components (and matrix columns).  A
-reconstruction at the space nodes is (n_S, N, m), a predictor state
-(n_S, n_T, N, m) and a Jacobian (n_S, n_T, N, m, m); ``SPACE_AXIS``,
-``TIME_AXIS`` and ``CELL_AXIS`` name the positions in the space-time arrays.
-A derivative contracts its node axis with the stencil matrix as matrix
-products over all cells at once: one product across the space nodes, one
-per space node across the time nodes.
+Nodal arrays are component-first: the components (and matrix columns) come
+first, then the space node axis, then the time node axis, then the cells,
+so each component is one contiguous slab of nodes and cells.  A
+reconstruction at the space nodes is (m, n_S, N), a predictor state
+(m, n_S, n_T, N) and a Jacobian (m, m, n_S, n_T, N); ``SPACE_AXIS``,
+``TIME_AXIS`` and ``CELL_AXIS`` name the node and cell axes counted from the
+end, so one set of names serves states and Jacobians.  A derivative
+contracts its node axis with the stencil matrix as matrix products over all
+cells at once: one product per component across the space nodes, one per
+component and space node across the time nodes.
 """
 from __future__ import annotations
 
@@ -26,12 +28,12 @@ import numpy as np
 
 SUPPORTED_M = (1, 2, 3, 4)
 
-# Axis positions of the node-major space-time arrays (n_S, n_T, N, m[, m]);
-# the space-node arrays (n_S, N, m) drop the time axis, so their cells sit
-# on axis CELL_AXIS - 1.
-SPACE_AXIS = 0
-TIME_AXIS = 1
-CELL_AXIS = 2
+# Axis positions, from the end, of the space-time arrays (m[, m], n_S, n_T, N);
+# the space-node arrays (m, n_S, N) drop the time axis and keep their cells
+# on CELL_AXIS.
+SPACE_AXIS = -3
+TIME_AXIS = -2
+CELL_AXIS = -1
 
 
 def gauss_legendre(n: int, lo: float = 0.0, hi: float = 1.0):
@@ -138,10 +140,11 @@ def build_grid(M: int, dx: float, dt: float) -> NodeGrid:
 
 def _apply(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
     # Contract the node axis with the stencil matrix: mat times the
-    # (nodes, rest) slab of every leading index.  The node axes lead the
-    # node-major arrays, so the space axis is one product over all cells
-    # and the time axis one per space node.  A one-column slab (one scalar
-    # cell on the time axis) would go to a matrix-vector kernel that rounds
+    # (nodes, rest) slab of every leading index.  The node axes follow the
+    # components, so the space axis is one product over all cells per
+    # component and the time axis one per component and space node.  A
+    # one-column slab (one cell on the time axis) would go to a
+    # matrix-vector kernel that rounds
     # differently from the matrix product; doubling the column keeps a lone
     # cell's values bitwise those it gets in any batch, so results do not
     # depend on the batching (thread blocks, cells still updating).

@@ -13,9 +13,9 @@ and performing a single Newton step per node.  The system is local to each
 cell, so a cell whose residual meets the tolerance keeps its values and every
 later sweep evaluates only the cells still updating.
 
-All arrays are node-major (see :mod:`aderfv.nodes`): W has shape
-(n_S, n_cells, m), Q (n_S, n_T, n_cells, m) and a Jacobian
-(n_S, n_T, n_cells, m, m).
+All arrays are component-first (see :mod:`aderfv.nodes`): W has shape
+(m, n_S, n_cells), Q (m, n_S, n_T, n_cells) and a Jacobian
+(m, m, n_S, n_T, n_cells).
 """
 from __future__ import annotations
 
@@ -79,18 +79,18 @@ def initial_guess(system: HyperbolicSystem, W_nodal: np.ndarray,
     amplifying matrix falls back to Q = W; a singular one also warns, whether
     it holds at some nodes or at all of them.
     """
-    m = W_nodal.shape[-1]
-    tau = (grid.tau * grid.dt)[None, :, None, None]
+    m = W_nodal.shape[0]
+    tau = (grid.tau * grid.dt)[:, None]     # on the (n_T, cells) axes
     a_w = system.flux_jacobian(W_nodal)
     b_w = system.source_jacobian(W_nodal)
     adv = _matvec(a_w, dxW)
     if not b_w.any():
         forcing = system.source(W_nodal) - adv
-        return W_nodal[:, None] + tau * forcing[:, None]
+        return W_nodal[:, :, None] + tau * forcing[:, :, None]
     affine = system.source(W_nodal) - _matvec(b_w, W_nodal)
-    rhs = W_nodal[:, None] + tau * (affine - adv)[:, None]
-    mats = np.eye(m) - tau[..., None] * b_w[:, None]
-    w_nodes = np.broadcast_to(W_nodal[:, None], rhs.shape)
+    rhs = W_nodal[:, :, None] + tau * (affine - adv)[:, :, None]
+    mats = np.eye(m)[:, :, None, None, None] - tau * b_w[:, :, :, None]
+    w_nodes = np.broadcast_to(W_nodal[:, :, None], rhs.shape)
     good = np.abs(_det(mats)) > np.finfo(float).tiny
     if good.all():
         out = _solve(mats, rhs)
@@ -99,15 +99,15 @@ def initial_guess(system: HyperbolicSystem, W_nodal: np.ndarray,
                       "falling back to Q = W at the affected nodes")
         out = w_nodes.copy()
         if good.any():
-            out[good] = _solve(mats[good], rhs[good])
+            out[:, good] = _solve(mats[:, :, good], rhs[:, good])
     # The linearized solve only stabilizes when the relaxation is
     # dissipative; near an anti-dissipative equilibrium (tau B -> 1) it
     # amplifies instead of damping, so such nodes also fall back to W.
-    scale = 1.0 + np.max(np.abs(w_nodes), axis=-1)
-    wild = ~np.isfinite(out).all(axis=-1)
-    wild |= np.max(np.abs(out - w_nodes), axis=-1) > 10.0 * scale
+    scale = 1.0 + np.max(np.abs(w_nodes), axis=0)
+    wild = ~np.isfinite(out).all(axis=0)
+    wild |= np.max(np.abs(out - w_nodes), axis=0) > 10.0 * scale
     if wild.any():
-        out = np.where(wild[..., None], w_nodes, out)
+        out = np.where(wild, w_nodes, out)
     return out
 
 
@@ -146,25 +146,26 @@ def residual_and_jacobian(stack: NodeDerivativeStack, C: dict,
     with c_k = (-tau)^k / k!, evaluated at Y = stack.Q;
     J = I + sum_k c_k B**(k-1) B(Y).
     """
-    m = W_nodal.shape[-1]
+    eye = np.eye(W_nodal.shape[0])[:, :, None, None, None]
     _, explicit = taylor_terms(stack, C, M)
-    h = stack.Q - W_nodal[:, None]
+    h = stack.Q - W_nodal[:, :, None]
     source_free = stack.b_is_zero and not stack.S.any()
-    b_pow = None if source_free else np.broadcast_to(np.eye(m), stack.B.shape)
+    b_pow = None if source_free else np.broadcast_to(eye, stack.B.shape)
     implicit_weight = None
     for k in range(1, M + 1):
-        ck = ((-tau_phys) ** k / math.factorial(k))[None, :, None, None]
+        # on the trailing (n_T, cells) axes of vectors and matrices alike
+        ck = ((-tau_phys) ** k / math.factorial(k))[:, None]
         h = h + ck * explicit[k]
         if source_free:
             continue
-        contrib = ck[..., None] * b_pow
+        contrib = ck * b_pow
         implicit_weight = contrib if implicit_weight is None else implicit_weight + contrib
         if k < M:
             b_pow = _matmul(b_pow, stack.B)
     if source_free:
         return h, None
     h = h + _matvec(implicit_weight, stack.S)
-    jac = np.eye(m) + _matmul(implicit_weight, stack.B)
+    jac = eye + _matmul(implicit_weight, stack.B)
     return h, jac
 
 
@@ -179,10 +180,8 @@ def newton_sweep(stack: NodeDerivativeStack, C: dict,
     """
     tau_phys = grid.tau * grid.dt
     h, jac = residual_and_jacobian(stack, C, W_nodal, tau_phys, grid.M)
-    n_cells, m = h.shape[CELL_AXIS:]
-    # max over the leading node axes, then the components: the same values
-    # as one max over axes (0, 1, 3), without its strided reduction
-    cell_res = np.abs(h).reshape(-1, n_cells, m).max(0).max(-1)
+    # max over the components and nodes, which lead the cells
+    cell_res = np.abs(h).reshape(-1, h.shape[CELL_AXIS]).max(0)
     if jac is None:   # source-free: the system is affine with unit Jacobian
         return stack.Q - h, cell_res
     try:
@@ -204,14 +203,14 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
                     out: np.ndarray | None = None
                     ) -> tuple[np.ndarray, list, int]:
     """Run the nested Picard iteration for the cells ``cells`` (default: all)
-    of the node arrays ``W_nodal`` and ``dxW``, shape (n_S, n_cells, m).
+    of the node arrays ``W_nodal`` and ``dxW``, shape (m, n_S, n_cells).
 
     Up to M sweeps of {populate stacks, build C matrices, Newton step at
     every node}, each over the cells still updating only; a cell whose
     incoming residual meets the tolerance keeps its values and leaves (the
     exit is per cell, so results do not depend on which cells are solved
     together).  Writes each cell's values once into ``out``, shape
-    (n_S, n_T, n_cells, m) (default: a new array), and returns it; per sweep
+    (m, n_S, n_T, n_cells) (default: a new array), and returns it; per sweep
     the max-norm residual of the incoming iterate over the cells it
     evaluated (above ``residual_tol`` the max over all cells, since a cell
     that left holds a residual at or below it); and the number of cells
@@ -220,12 +219,12 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
     """
     cfg = cfg or PredictorConfig()
     M = grid.M
-    cells = np.arange(W_nodal.shape[1]) if cells is None else cells
+    cells = np.arange(W_nodal.shape[CELL_AXIS]) if cells is None else cells
     if out is None:
-        out = np.empty((W_nodal.shape[0], grid.n_time) + W_nodal.shape[1:])
-    # np.take keeps the gathered rows C-contiguous
-    w = np.take(W_nodal, cells, axis=CELL_AXIS - 1)
-    Q = initial_guess(system, w, np.take(dxW, cells, axis=CELL_AXIS - 1), grid)
+        out = np.empty(W_nodal.shape[:2] + (grid.n_time,) + W_nodal.shape[2:])
+    # np.take keeps the gathered cells C-contiguous
+    w = np.take(W_nodal, cells, axis=CELL_AXIS)
+    Q = initial_guess(system, w, np.take(dxW, cells, axis=CELL_AXIS), grid)
     q, rows = Q, np.arange(cells.size)   # the updating cells' iterate and rows in Q
     residuals = []
     for _ in range(M):
@@ -238,12 +237,12 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
         updating = (cell_res > cfg.residual_tol).nonzero()[0]
         rows = rows[updating]
         q = np.take(q_new, updating, axis=CELL_AXIS)
-        w = np.take(w, updating, axis=CELL_AXIS - 1)
-        Q[:, :, rows] = q
+        w = np.take(w, updating, axis=CELL_AXIS)
+        Q[..., rows] = q
     # a slice copy per run of consecutive cells (cheaper than a fancy scatter)
     new_run = np.ones(cells.size, dtype=bool)
     np.not_equal(cells[1:] - cells[:-1], 1, out=new_run[1:])
     starts = new_run.nonzero()[0].tolist()
     for a, b in zip(starts, starts[1:] + [cells.size]):
-        out[:, :, cells[a]:cells[a] + b - a] = Q[:, :, a:b]
+        out[..., cells[a]:cells[a] + b - a] = Q[..., a:b]
     return out, residuals, int(rows.size)

@@ -95,15 +95,18 @@ class RunConfig:
 
 def rusanov_flux(q_left: np.ndarray, q_right: np.ndarray,
                  system: HyperbolicSystem) -> np.ndarray:
-    """F = (F(QL) + F(QR))/2 - s (QR - QL)/2, s the largest local wave speed."""
+    """F = (F(QL) + F(QR))/2 - s (QR - QL)/2, s the largest local wave speed.
+
+    States are component-first, (m, ...); so is the flux.
+    """
     if system.admissible is not None:
         ok = system.admissible(q_left) & system.admissible(q_right)
         if not np.all(ok):
             raise InadmissibleStateError(
                 f"inadmissible state at interface indices {np.argwhere(~ok)[:10].tolist()}")
-    s_left = np.max(np.abs(system.eigenvalues(q_left)), axis=-1)
-    s_right = np.max(np.abs(system.eigenvalues(q_right)), axis=-1)
-    s = np.maximum(s_left, s_right)[..., None]
+    s_left = np.max(np.abs(system.eigenvalues(q_left)), axis=0)
+    s_right = np.max(np.abs(system.eigenvalues(q_right)), axis=0)
+    s = np.maximum(s_left, s_right)
     return 0.5 * (system.flux(q_left) + system.flux(q_right)) \
         - 0.5 * s * (q_right - q_left)
 
@@ -112,29 +115,30 @@ def interface_flux(left_trace: np.ndarray, right_trace: np.ndarray,
                    system: HyperbolicSystem, grid: NodeGrid) -> np.ndarray:
     """Gauss-weighted time average of Rusanov fluxes of the interface traces.
 
-    Traces have shape (n_T, n_interfaces, m): the left cell evaluated at
-    xi = +1/2 and the right cell at xi = -1/2, at every time node.
+    Traces have shape (m, n_T, n_interfaces): the left cell evaluated at
+    xi = +1/2 and the right cell at xi = -1/2, at every time node.  Returns
+    (m, n_interfaces).
     """
     fh = rusanov_flux(left_trace, right_trace, system)
-    return np.einsum("j,jnm->nm", grid.tau_weights, fh)
+    return np.einsum("j,mjn->mn", grid.tau_weights, fh)
 
 
 def cell_source(q_nodal: np.ndarray, system: HyperbolicSystem,
                 grid: NodeGrid) -> np.ndarray:
     """Newton-Cotes (space) x Gauss (time) quadrature of S over the nodes.
 
-    ``q_nodal`` has shape (n_S, n_T, n_cells, m); returns (n_cells, m).
+    ``q_nodal`` has shape (m, n_S, n_T, n_cells); returns (m, n_cells).
     """
     weights = np.outer(newton_cotes_weights(grid.M + 1), grid.tau_weights)
     s_nodal = system.source(q_nodal)
-    n_s, n_t, n, m = s_nodal.shape
-    return np.einsum("q,qnm->nm", weights.ravel(),
-                     s_nodal.reshape(n_s * n_t, n, m))
+    m, n_s, n_t, n = s_nodal.shape
+    return np.einsum("q,mqn->mn", weights.ravel(),
+                     s_nodal.reshape(m, n_s * n_t, n))
 
 
 def cfl_timestep(field: CellField, system: HyperbolicSystem, cfl: float) -> float:
     """dt = C_cfl dx / lambda_abs from the cell-average wave speeds."""
-    lam = float(np.max(np.abs(system.eigenvalues(field.averages))))
+    lam = float(np.max(np.abs(system.eigenvalues(field.averages.T))))
     if not np.isfinite(lam):
         raise SchemeError("non-finite wave speed in CFL estimate")
     if lam == 0.0:
@@ -170,10 +174,10 @@ def transition_cells(field: CellField, system: HyperbolicSystem,
     one-sided differences exceed the outer ones) while its jump stands above
     rounding noise and its source still acts on the scale of that jump.
     """
-    flags = np.zeros(W_nodal.shape[1], dtype=bool)
+    flags = np.zeros(W_nodal.shape[-1], dtype=bool)
     if system.m != 1:
         return flags
-    dt_b = dt * system.source_jacobian(W_nodal)[..., 0, 0]
+    dt_b = dt * system.source_jacobian(W_nodal)[0, 0]
     stiff = np.abs(dt_b) > _STIFF_DT_B
     if not stiff.any():
         return flags
@@ -183,9 +187,9 @@ def transition_cells(field: CellField, system: HyperbolicSystem,
     d_outer_l, d_l, d_r, d_outer_r = d[:n], d[1:n + 1], d[2:n + 2], d[3:n + 3]
     inside = d_l * d_r > 0.0
     eno_sr = (np.abs(d_l) > np.abs(d_outer_l)) & (np.abs(d_r) > np.abs(d_outer_r))
-    avg = q[_SR_GHOST - 1:_SR_GHOST - 1 + n, None]
+    avg = q[None, _SR_GHOST - 1:_SR_GHOST - 1 + n]
     jump = np.abs(d_l + d_r)
-    active = (dt * np.abs(system.source(avg)[:, 0]) > _SETTLED_SHARE * jump) \
+    active = (dt * np.abs(system.source(avg)[0]) > _SETTLED_SHARE * jump) \
         & (jump > _NOISE_SHARE * np.ptp(q))
     flags = (dt_b > _STIFF_DT_B).any(axis=0)
     flags |= stiff.any(axis=0) & inside & eno_sr & active
@@ -201,10 +205,10 @@ def two_state_nodes(field: CellField, system: HyperbolicSystem,
     The front starts at xi = -1/2 + theta, theta fixed by conserving the
     cell average, and moves at the Rankine-Hugoniot speed s of the jump, so
     node (xi, tau) takes q_L where xi < -1/2 + theta + s tau dt/dx.
-    Returns shape (n_S, n_T, n_flagged, 1).
+    Returns shape (1, n_S, n_T, n_flagged).
     """
-    q = field.extended(_SR_GHOST)
-    wide = np.zeros(q.shape[0], dtype=bool)
+    q = field.extended(_SR_GHOST).T
+    wide = np.zeros(q.shape[1], dtype=bool)
     wide[_SR_GHOST - 1:_SR_GHOST - 1 + len(flags)] = flags
     cells = np.flatnonzero(flags) + _SR_GHOST - 1
     lo, hi = cells - 1, cells + 1
@@ -213,17 +217,17 @@ def two_state_nodes(field: CellField, system: HyperbolicSystem,
             lo[i] -= 1
         while wide[hi[i]]:
             hi[i] += 1
-    q_l, q_r, avg = q[lo], q[hi], q[cells]
+    q_l, q_r, avg = q[:, lo], q[:, hi], q[:, cells]
     flat = q_l == q_r            # no front to place: the cell keeps its average
     q_l = np.where(flat, avg, q_l)
     q_r = np.where(flat, avg, q_r)
     jump = np.where(flat, 1.0, q_r - q_l)
     speed = np.where(flat, system.eigenvalues(avg),
-                     (system.flux(q_r) - system.flux(q_l)) / jump)[:, 0]
-    theta = np.clip((q_r - avg) / jump, 0.0, 1.0)[:, 0]
+                     (system.flux(q_r) - system.flux(q_l)) / jump)[0]
+    theta = np.clip((q_r - avg) / jump, 0.0, 1.0)[0]
     front = -0.5 + theta + speed * grid.tau[:, None] * grid.dt / grid.dx
     left = grid.xi[:, None, None] < front
-    return np.where(left[..., None], q_l, q_r)
+    return np.where(left, q_l[:, None, None], q_r[:, None, None])
 
 
 @functools.cache
@@ -266,7 +270,7 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
 
 
 def nodal_solution(field: CellField, config: RunConfig, grid: NodeGrid):
-    """Space-time values at the nodes of cells -1 .. N, shape (n_S, n_T, N+2, m).
+    """Space-time values at the nodes of cells -1 .. N, shape (m, n_S, n_T, N+2).
 
     Transition cells take the two-state solution; the predictor writes every
     other cell into the same array.  Returns the values, the predictor
@@ -276,14 +280,15 @@ def nodal_solution(field: CellField, config: RunConfig, grid: NodeGrid):
     M = config.M
     coeffs = reconstruct_padded(field.extended(M + 1), M, config.weno)
     recon = ReconstructionSet(M, coeffs)
-    W_nodal = recon.evaluate(grid.xi)
-    dxW = recon.evaluate(grid.xi, l=1) / field.dx
+    # the reconstruction's (n_S, N+2, m) values, once to component-first
+    W_nodal = np.moveaxis(recon.evaluate(grid.xi), -1, 0).copy()
+    dxW = np.moveaxis(recon.evaluate(grid.xi, l=1) / field.dx, -1, 0).copy()
 
     flags = transition_cells(field, config.system, W_nodal, grid.dt)
-    q_nodal = np.empty((W_nodal.shape[0], grid.n_time) + W_nodal.shape[1:])
+    q_nodal = np.empty(W_nodal.shape[:2] + (grid.n_time,) + W_nodal.shape[2:])
     if flags.any():
-        q_nodal[:, :, flags] = two_state_nodes(field, config.system, flags,
-                                               grid)
+        q_nodal[..., flags] = two_state_nodes(field, config.system, flags,
+                                              grid)
     try:
         residuals, unverified = _predict(config, W_nodal, dxW, grid,
                                          np.flatnonzero(~flags), q_nodal)
@@ -302,14 +307,15 @@ def step(field: CellField, config: RunConfig, dt: float):
     grid = build_grid(config.M, field.dx, dt)
     q_nodal, residuals, unverified = nodal_solution(field, config, grid)
 
-    left_trace = q_nodal[-1, :, :-1]    # cells -1..N-1 at xi = +1/2
-    right_trace = q_nodal[0, :, 1:]     # cells 0..N at xi = -1/2
+    left_trace = q_nodal[:, -1, :, :-1]     # cells -1..N-1 at xi = +1/2
+    right_trace = q_nodal[:, 0, :, 1:]      # cells 0..N at xi = -1/2
     fluxes = interface_flux(left_trace, right_trace, config.system, grid)
-    sources = cell_source(q_nodal[:, :, 1:-1], config.system, grid)
+    sources = cell_source(q_nodal[..., 1:-1], config.system, grid)
 
+    # fluxes (m, N+1) and sources (m, N) to the (N, m) of the averages
     new_avg = field.averages \
-        - (dt / field.dx) * (fluxes[1:] - fluxes[:-1]) \
-        + dt * sources
+        - (dt / field.dx) * (fluxes[:, 1:] - fluxes[:, :-1]).T \
+        + dt * sources.T
     return replace(field, averages=new_avg), (residuals, unverified)
 
 

@@ -13,8 +13,14 @@ Four concrete systems are provided:
 * ``euler_system``       -- 1-D compressible Euler with ideal-gas closure;
   smooth advected-density exact solution.
 
-All callables broadcast over leading axes: states are arrays (..., m),
-Jacobians (..., m, m).
+The state callables of a :class:`HyperbolicSystem` are component-first:
+a state is an array (m, ...) whose trailing axes are any batch of nodes, so
+each component is one contiguous slab.  ``flux`` and ``source`` return
+(m, ...), ``flux_jacobian`` and ``source_jacobian`` (m, m, ...) with row
+index first, ``eigenvalues`` (m, ...) and ``admissible`` a mask (...).
+Cell averages (``CellField.averages``), initial data and exact solutions
+stay point-first, (..., m): ``exact_solution(x, t)`` returns one state per
+point of ``x`` along the last axis.
 """
 from __future__ import annotations
 
@@ -34,7 +40,14 @@ class InadmissibleStateError(ValueError):
 
 @dataclass(frozen=True)
 class HyperbolicSystem:
-    """Balance law defined by its flux, source and their Jacobians."""
+    """Balance law defined by its flux, source and their Jacobians.
+
+    ``flux``, ``source``, ``flux_jacobian``, ``source_jacobian``,
+    ``eigenvalues`` and ``admissible`` take component-first states (m, ...)
+    and return (m, ...) arrays, (m, m, ...) Jacobians with entry [i, j] the
+    derivative of component i by component j, and (...) masks;
+    ``exact_solution(x, t)`` returns (..., m), one state per point.
+    """
 
     name: str
     m: int
@@ -48,8 +61,11 @@ class HyperbolicSystem:
     params: dict = field(default_factory=dict)
 
 
-def _bcast(mat: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(mat, q.shape[:-1] + mat.shape)
+def _bcast(values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Constant (m[, m]) values at every node of the state batch q."""
+    nodes = q.shape[1:]
+    return np.broadcast_to(values.reshape(values.shape + (1,) * len(nodes)),
+                           values.shape + nodes)
 
 
 # ----------------------------------------------------------------------------
@@ -67,7 +83,7 @@ def linear_system(lam: float = 1.0, beta: float = -1.0) -> HyperbolicSystem:
     eigs = np.array([-abs(lam), abs(lam)])
 
     def flux(q):
-        return q @ a_mat.T
+        return np.tensordot(a_mat, q, axes=1)
 
     def source(q):
         return beta * q
@@ -119,33 +135,30 @@ def nonlinear_system(beta: float = -1.0) -> HyperbolicSystem:
         raise ValueError("nonlinear_system requires beta <= 0")
 
     def flux(q):
-        u, v = q[..., 0], q[..., 1]
+        u, v = q
         f1 = (2.5 * u**2 + v**2 - u * v) / 9.0
         f2 = (4.0 * u * v - u**2 + 0.5 * v**2) / 9.0
-        return np.stack([f1, f2], axis=-1)
+        return np.stack([f1, f2])
 
     def source(q):
-        w2 = (2.0 * q[..., 0] - q[..., 1]) / 3.0
+        w2 = (2.0 * q[0] - q[1]) / 3.0
         s = beta * w2**2
-        return np.stack([s, -s], axis=-1)
+        return np.stack([s, -s])
 
     def flux_jacobian(q):
-        u, v = q[..., 0], q[..., 1]
-        row0 = np.stack([5.0 * u - v, 2.0 * v - u], axis=-1)
-        row1 = np.stack([4.0 * v - 2.0 * u, 4.0 * u + v], axis=-1)
-        return np.stack([row0, row1], axis=-2) / 9.0
+        u, v = q
+        return np.array([[5.0 * u - v, 2.0 * v - u],
+                         [4.0 * v - 2.0 * u, 4.0 * u + v]]) / 9.0
 
     def source_jacobian(q):
-        w2 = (2.0 * q[..., 0] - q[..., 1]) / 3.0
+        w2 = (2.0 * q[0] - q[1]) / 3.0
         g = beta * w2 / 3.0
-        row0 = np.stack([4.0 * g, -2.0 * g], axis=-1)
-        row1 = np.stack([-4.0 * g, 2.0 * g], axis=-1)
-        return np.stack([row0, row1], axis=-2)
+        return np.array([[4.0 * g, -2.0 * g], [-4.0 * g, 2.0 * g]])
 
     def eigenvalues(q):
-        w1 = (q[..., 0] + q[..., 1]) / 3.0
-        w2 = (2.0 * q[..., 0] - q[..., 1]) / 3.0
-        return np.stack([w1, w2], axis=-1)
+        w1 = (q[0] + q[1]) / 3.0
+        w2 = (2.0 * q[0] - q[1]) / 3.0
+        return np.stack([w1, w2])
 
     return HyperbolicSystem(
         name="nonlinear",
@@ -261,12 +274,10 @@ def leveque_yee_system(beta: float = -10000.0) -> HyperbolicSystem:
         return q.copy()
 
     def source(q):
-        s = q[..., 0]
-        return (beta * s * (s - 1.0) * (s - 0.5))[..., None]
+        return beta * q * (q - 1.0) * (q - 0.5)
 
     def source_jacobian(q):
-        s = q[..., 0]
-        return (beta * (3.0 * s**2 - 3.0 * s + 0.5))[..., None, None]
+        return (beta * (3.0 * q**2 - 3.0 * q + 0.5))[None]
 
     def exact(x, t):
         x = np.asarray(x, dtype=float)
@@ -277,9 +288,9 @@ def leveque_yee_system(beta: float = -10000.0) -> HyperbolicSystem:
         m=1,
         flux=flux,
         source=source,
-        flux_jacobian=lambda q: np.ones(q.shape[:-1] + (1, 1)),
+        flux_jacobian=lambda q: np.ones((1,) + q.shape),
         source_jacobian=source_jacobian,
-        eigenvalues=lambda q: np.ones(q.shape[:-1] + (1,)),
+        eigenvalues=lambda q: np.ones(q.shape),
         exact_solution=exact,
         params={"beta": beta},
     )
@@ -330,33 +341,34 @@ def euler_system(gamma: float = 1.4) -> HyperbolicSystem:
     gm1 = gamma - 1.0
 
     def _uep(q):
-        rho, mom, en = q[..., 0], q[..., 1], q[..., 2]
+        rho, mom, en = q
         u = mom / rho
         p = gm1 * (en - 0.5 * mom * u)
         return rho, u, p, en
 
     def flux(q):
         rho, u, p, en = _uep(q)
-        return np.stack([rho * u, rho * u**2 + p, u * (en + p)], axis=-1)
+        return np.stack([rho * u, rho * u**2 + p, u * (en + p)])
 
     def flux_jacobian(q):
         rho, u, p, en = _uep(q)
         u2 = u * u          # products: u**3 would go through libm pow
-        out = np.zeros(q.shape + (3,))
-        out[..., 0, 1] = 1.0
-        out[..., 1, 0] = 0.5 * (gamma - 3.0) * u2
-        out[..., 1, 1] = (3.0 - gamma) * u
-        out[..., 1, 2] = gm1
+        out = np.empty((3,) + q.shape)      # (3, 3, ...), one slab per entry
+        out[0, 0] = out[0, 2] = 0.0
+        out[0, 1] = 1.0
+        out[1, 0] = 0.5 * (gamma - 3.0) * u2
+        out[1, 1] = (3.0 - gamma) * u
+        out[1, 2] = gm1
         ge = gamma * en / rho
-        out[..., 2, 0] = gm1 * (u2 * u) - u * ge
-        out[..., 2, 1] = ge - 1.5 * gm1 * u2
-        out[..., 2, 2] = gamma * u
+        out[2, 0] = gm1 * (u2 * u) - u * ge
+        out[2, 1] = ge - 1.5 * gm1 * u2
+        out[2, 2] = gamma * u
         return out
 
     def eigenvalues(q):
         rho, u, p, _ = _uep(q)
         a = np.sqrt(gamma * p / rho)
-        return np.stack([u - a, u, u + a], axis=-1)
+        return np.stack([u - a, u, u + a])
 
     def exact(x, t):
         x = np.asarray(x, dtype=float)
@@ -374,7 +386,7 @@ def euler_system(gamma: float = 1.4) -> HyperbolicSystem:
         flux=flux,
         source=lambda q: np.zeros_like(q),
         flux_jacobian=flux_jacobian,
-        source_jacobian=lambda q: np.zeros(q.shape[:-1] + (3, 3)),
+        source_jacobian=lambda q: np.zeros((3,) + q.shape),
         eigenvalues=eigenvalues,
         exact_solution=exact,
         admissible=admissible,

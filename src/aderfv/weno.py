@@ -164,7 +164,8 @@ class ReconstructionSet:
         """Values (or l-th xi-derivatives) at reference point(s) xi.
 
         Scalar xi gives (N, m); a 1-D array of G points gives the points-first
-        (G, N, m), the node-major layout of the predictor, both C-contiguous.
+        (G, N, m), both C-contiguous (the scheme moves the components first
+        for the predictor).
         Derivatives are in reference coordinates (physical ones carry the
         caller-applied factor dx**-l); orders beyond the degree are exactly
         zero.

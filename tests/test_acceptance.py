@@ -235,27 +235,28 @@ def test_criterion_6_ck_coefficient_suite():
     lam, beta = 1.0, -1.0
     a_mat = np.array([[0.0, lam], [lam, 0.0]])
     grid = build_grid(4, 0.5, 0.5)
-    shape = (grid.n_space, grid.n_time, 1)
+    shape = (grid.n_space, grid.n_time, 1)     # component-first nodes
+    nodes = (slice(None), slice(None)) + (None,) * len(shape)
     stack = NodeDerivativeStack(
-        Q=rng.standard_normal(shape + (2,)),
-        A=np.broadcast_to(a_mat, shape + (2, 2)).copy(),
-        B=np.broadcast_to(beta * np.eye(2), shape + (2, 2)).copy(),
-        S=np.zeros(shape + (2,)))
+        Q=rng.standard_normal((2,) + shape),
+        A=np.broadcast_to(a_mat[nodes], (2, 2) + shape).copy(),
+        B=np.broadcast_to(beta * np.eye(2)[nodes], (2, 2) + shape).copy(),
+        S=np.zeros((2,) + shape))
     stack.S = beta * stack.Q
     for l in range(1, 5):
-        stack.dxQ[l] = rng.standard_normal(shape + (2,))
+        stack.dxQ[l] = rng.standard_normal((2,) + shape)
     for l in range(1, 4):
-        stack.dxA[l] = np.zeros(shape + (2, 2))
+        stack.dxA[l] = np.zeros((2, 2) + shape)
     for l in range(1, 3):
-        stack.dxB[l] = np.zeros(shape + (2, 2))
-        stack.dtB[l] = np.zeros(shape + (2, 2))
+        stack.dxB[l] = np.zeros((2, 2) + shape)
+        stack.dtB[l] = np.zeros((2, 2) + shape)
     C = matrix_c(stack, 4, grid)
     dtq, _ = taylor_terms(stack, C, 4)
     worst = 0.0
     for k in range(1, 5):
         want = sum(binom(k, j) * beta ** (k - j)
-                   * (np.linalg.matrix_power(-a_mat, j)
-                      @ stack.dxQ[j][..., None])[..., 0]
+                   * np.tensordot(np.linalg.matrix_power(-a_mat, j),
+                                  stack.dxQ[j], axes=1)
                    for j in range(0, k + 1))
         rel = np.max(np.abs(dtq[k] - want)) / max(1.0, np.max(np.abs(want)))
         worst = max(worst, rel)

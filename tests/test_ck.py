@@ -156,9 +156,31 @@ def test_matrix_d_coefficients_match_pascal_tables(l):
             assert coeff_b == 0.0
 
 
+def on_nodes(values, shape):
+    """Component-first copy of constant (m[, m]) values at every node of
+    ``shape``."""
+    values = np.asarray(values)
+    return np.broadcast_to(values.reshape(values.shape + (1,) * len(shape)),
+                           values.shape + shape).copy()
+
+
+def mv(mat, vec):
+    """Reference matrix-vector product of (m, m, ...) and (m, ...) arrays:
+    ``@`` on the component axes moved last."""
+    return np.moveaxis((np.moveaxis(mat, (0, 1), (-2, -1))
+                        @ np.moveaxis(vec, 0, -1)[..., None])[..., 0], -1, 0)
+
+
+def mm(a, b):
+    """Reference matrix product of (m, m, ...) arrays: ``@`` on the moved
+    matrix axes."""
+    return np.moveaxis(np.moveaxis(a, (0, 1), (-2, -1))
+                       @ np.moveaxis(b, (0, 1), (-2, -1)), (-2, -1), (0, 1))
+
+
 def constant_grid_stack(A, B, M, n_cells=1, seed=3):
-    """Node-major grid stack, (n_S, n_T, cells, ...), with space-time
-    constant Jacobians.
+    """Component-first grid stack, (m[, m], n_S, n_T, cells), with
+    space-time constant Jacobians.
 
     Scales near one keep the dt**-1 round-off amplification of the nodal
     time gradients (of constant data) small.
@@ -168,18 +190,18 @@ def constant_grid_stack(A, B, M, n_cells=1, seed=3):
     rng = np.random.default_rng(seed)
     shape = (grid.n_space, grid.n_time, n_cells)
     stack = NodeDerivativeStack(
-        Q=rng.standard_normal(shape + (m,)),
-        A=np.broadcast_to(A, shape + (m, m)).copy(),
-        B=np.broadcast_to(B, shape + (m, m)).copy(),
-        S=rng.standard_normal(shape + (m,)),
+        Q=rng.standard_normal((m,) + shape),
+        A=on_nodes(A, shape),
+        B=on_nodes(B, shape),
+        S=rng.standard_normal((m,) + shape),
     )
     for l in range(1, M + 1):
-        stack.dxQ[l] = rng.standard_normal(shape + (m,))
+        stack.dxQ[l] = rng.standard_normal((m,) + shape)
     for l in range(1, M):
-        stack.dxA[l] = np.zeros(shape + (m, m))
+        stack.dxA[l] = np.zeros((m, m) + shape)
     for l in range(1, M - 1):
-        stack.dxB[l] = np.zeros(shape + (m, m))
-        stack.dtB[l] = np.zeros(shape + (m, m))
+        stack.dxB[l] = np.zeros((m, m) + shape)
+        stack.dtB[l] = np.zeros((m, m) + shape)
     return grid, stack
 
 
@@ -196,21 +218,21 @@ def test_matrix_c_base_and_step_three_identities():
     shape = (grid.n_space, grid.n_time, 1)
     # A varies linearly in physical time => the interpolated gradient is exact
     t_phys = grid.tau * grid.dt
-    a_field = a0 + t_phys[None, :, None, None, None] * a1
+    a_field = on_nodes(a0, shape) + t_phys[:, None] * on_nodes(a1, shape)
     stack = NodeDerivativeStack(
-        Q=np.zeros(shape + (m,)),
-        A=np.broadcast_to(a_field, shape + (m, m)).copy(),
-        B=np.broadcast_to(b0, shape + (m, m)).copy(),
-        S=np.zeros(shape + (m,)),
+        Q=np.zeros((m,) + shape),
+        A=a_field,
+        B=on_nodes(b0, shape),
+        S=np.zeros((m,) + shape),
     )
-    stack.dxQ[1] = np.zeros(shape + (m,))
-    stack.dxQ[2] = np.zeros(shape + (m,))
-    stack.dxA[1] = np.broadcast_to(ax, shape + (m, m)).copy()
+    stack.dxQ[1] = np.zeros((m,) + shape)
+    stack.dxQ[2] = np.zeros((m,) + shape)
+    stack.dxA[1] = on_nodes(ax, shape)
 
     C = matrix_c(stack, M, grid)
     assert np.allclose(C[1, 1], -stack.A)
-    assert np.allclose(C[2, 2], stack.A @ stack.A)
-    want = -a1 - a_field @ (b0 - ax)
+    assert np.allclose(C[2, 2], mm(stack.A, stack.A))
+    want = -on_nodes(a1, shape) - mm(a_field, on_nodes(b0 - ax, shape))
     assert np.max(np.abs(C[2, 1] - want)) < 1e-10
 
 
@@ -226,7 +248,7 @@ def test_matrix_c_constant_commuting_closed_form():
         for l in range(1, k + 1):
             want = binom(k - 1, k - l) * beta ** (k - l) * \
                 np.linalg.matrix_power(negA, l)
-            got = C[k, l][0, 0, 0]
+            got = C[k, l][:, :, 0, 0, 0]
             assert np.max(np.abs(got - want)) < 1e-9 * max(1, np.abs(want).max())
 
 
@@ -261,9 +283,9 @@ def test_time_derivatives_match_conventional_ck_for_frozen_jacobians(k):
     C = matrix_c(stack, 4, grid)
     dtq, _ = taylor_terms(stack, C, 4)
     P, R = conventional_ck_constant(A, B, k)
-    want = (R @ stack.S[..., None])[..., 0]
+    want = np.tensordot(R, stack.S, axes=1)
     for l, mat in P.items():
-        want = want + (mat @ stack.dxQ[l][..., None])[..., 0]
+        want = want + np.tensordot(mat, stack.dxQ[l], axes=1)
     err = np.max(np.abs(dtq[k] - want))
     assert err < 1e-8 * max(1.0, np.max(np.abs(want)))
 
@@ -280,7 +302,7 @@ def test_time_derivatives_binomial_oracle_linear_system():
         want = 0.0
         for j in range(0, k + 1):
             mat = binom(k, j) * beta ** (k - j) * np.linalg.matrix_power(-A, j)
-            want = want + (mat @ stack.dxQ[j][..., None])[..., 0]
+            want = want + np.tensordot(mat, stack.dxQ[j], axes=1)
         rel = np.max(np.abs(dtq[k] - want)) / max(1.0, np.max(np.abs(want)))
         assert rel < 1e-8
 
@@ -305,10 +327,9 @@ def test_m_vector_first_orders():
                                       seed=18)
     C = matrix_c(stack, 3, grid)
     m1 = m_vector(1, stack, C, {})
-    assert np.allclose(m1, (-stack.A @ stack.dxQ[1][..., None])[..., 0])
+    assert np.allclose(m1, mv(-stack.A, stack.dxQ[1]))
     m2 = m_vector(2, stack, C, {})
-    want = (C[2, 2] @ stack.dxQ[2][..., None])[..., 0] \
-        + (C[2, 1] @ stack.dxQ[1][..., None])[..., 0]
+    want = mv(C[2, 2], stack.dxQ[2]) + mv(C[2, 1], stack.dxQ[1])
     assert np.allclose(m2, want)
 
 
@@ -340,18 +361,16 @@ def test_second_time_derivative_fd_oracle_on_exact_solution():
 
     grid = build_grid(2, 0.1, 0.05)
     shape = (grid.n_space, grid.n_time, 1)
-    q = np.broadcast_to(exact(x0, t0), shape + (2,)).copy()
-    stack = NodeDerivativeStack(Q=q,
-                                A=np.broadcast_to(A, shape + (2, 2)).copy(),
-                                B=np.broadcast_to(beta * np.eye(2),
-                                                  shape + (2, 2)).copy(),
+    q = on_nodes(exact(x0, t0), shape)
+    stack = NodeDerivativeStack(Q=q, A=on_nodes(A, shape),
+                                B=on_nodes(beta * np.eye(2), shape),
                                 S=beta * q)
-    stack.dxQ[1] = np.broadcast_to(dx_exact(x0, t0, 1), shape + (2,)).copy()
-    stack.dxQ[2] = np.broadcast_to(dx_exact(x0, t0, 2), shape + (2,)).copy()
-    stack.dxA[1] = np.zeros(shape + (2, 2))
+    stack.dxQ[1] = on_nodes(dx_exact(x0, t0, 1), shape)
+    stack.dxQ[2] = on_nodes(dx_exact(x0, t0, 2), shape)
+    stack.dxA[1] = np.zeros((2, 2) + shape)
     C = matrix_c(stack, 2, grid)
     dtq, _ = taylor_terms(stack, C, 2)
-    assert np.max(np.abs(dtq[2][0, 0, 0] - fd)) < 1e-5
+    assert np.max(np.abs(dtq[2][:, 0, 0, 0] - fd)) < 1e-5
 
 
 def test_taylor_terms_split_explicit_plus_source_power():
@@ -364,8 +383,8 @@ def test_taylor_terms_split_explicit_plus_source_power():
     C = matrix_c(stack, 4, grid)
     dtq, explicit = taylor_terms(stack, C, 4)
     for k in range(1, 5):
-        b_pow = np.linalg.matrix_power(stack.B[0, 0, 0], k - 1)
-        want = explicit[k] + (b_pow @ stack.S[..., None])[..., 0]
+        b_pow = np.linalg.matrix_power(stack.B[:, :, 0, 0, 0], k - 1)
+        want = explicit[k] + np.tensordot(b_pow, stack.S, axes=1)
         assert np.allclose(dtq[k], want, atol=1e-12)
 
 
@@ -469,49 +488,69 @@ def _wide_range(rng, shape):
 
 
 def test_scalar_small_matrix_algebra_matches_linalg():
-    """At m = 1 the helpers multiply and divide elementwise; they agree with
-    batched matmul and LAPACK to 1 ulp, broadcasting over leading axes."""
+    """At m = 1 the helpers multiply and divide elementwise: ``_matvec`` and
+    ``_matmul`` are bitwise the elementwise product, and all four agree
+    with matmul and LAPACK on the moved axes to 1 ulp, broadcasting over
+    the trailing node axes."""
     rng = np.random.default_rng(11)
-    a = _wide_range(rng, (40, 3, 2, 1, 1))
-    b = _wide_range(rng, (40, 3, 2, 1, 1))
-    v = _wide_range(rng, (40, 3, 2, 1))
-    a[5, 1, 0] = 0.0
-    np.testing.assert_array_max_ulp(_matvec(a, v), (a @ v[..., None])[..., 0],
-                                    maxulp=1)
-    np.testing.assert_array_max_ulp(_matmul(a, b), a @ b, maxulp=1)
-    np.testing.assert_array_max_ulp(_matvec(a[0, 0, 0], v),
-                                    (a[0, 0, 0] @ v[..., None])[..., 0],
+    a = _wide_range(rng, (1, 1, 40, 3, 2))
+    b = _wide_range(rng, (1, 1, 40, 3, 2))
+    v = _wide_range(rng, (1, 40, 3, 2))
+    a[0, 0, 5, 1, 0] = 0.0
+    assert np.array_equal(_matvec(a, v), a[0] * v)
+    assert np.array_equal(_matmul(a, b), a * b)
+    np.testing.assert_array_max_ulp(_matvec(a, v), mv(a, v), maxulp=1)
+    np.testing.assert_array_max_ulp(_matmul(a, b), mm(a, b), maxulp=1)
+    one = a[..., :1, :1, :1]       # one matrix for every node
+    np.testing.assert_array_max_ulp(_matvec(one, v),
+                                    mv(np.broadcast_to(one, a.shape), v),
                                     maxulp=1)
     nonzero = np.where(a == 0.0, 1.0, a)
-    np.testing.assert_array_max_ulp(
-        _solve(nonzero, v), np.linalg.solve(nonzero, v[..., None])[..., 0],
-        maxulp=1)
-    assert np.array_equal(_det(a), a[..., 0, 0])
-    assert np.array_equal(np.sign(_det(a)), np.sign(np.linalg.det(a)))
+    solved = np.linalg.solve(np.moveaxis(nonzero, (0, 1), (-2, -1)),
+                             np.moveaxis(v, 0, -1)[..., None])[..., 0]
+    np.testing.assert_array_max_ulp(_solve(nonzero, v),
+                                    np.moveaxis(solved, -1, 0), maxulp=1)
+    assert np.array_equal(_det(a), a[0, 0])
+    assert np.array_equal(
+        np.sign(_det(a)),
+        np.sign(np.linalg.det(np.moveaxis(a, (0, 1), (-2, -1)))))
     with pytest.raises(np.linalg.LinAlgError):
         _solve(a, v)
 
 
-def test_small_matrix_algebra_is_linalg_for_systems():
-    """At m = 2, 3 the helpers are linalg; ``_matvec`` sums column products,
-    so it matches ``@`` within 1e-13 of the reference's max |value|."""
-    rng = np.random.default_rng(12)
+def test_small_matrix_algebra_sums_component_slabs():
+    """At m = 2, 3 ``_matvec`` and ``_matmul`` are bitwise the sums over k
+    of ``mat[:, k] * vec[k]`` and ``a[:, k, None] * b[k]``, also with one
+    matrix broadcast over the trailing node axes.  They sum the same m
+    products as ``@`` in another order, so they agree with it within the
+    rounding bound 2 m eps sum_k |a_ik| |b_kj| (where entries cancel, the
+    two can differ by many ulps of the result).  ``_solve`` and ``_det``
+    are bitwise LAPACK on the moved axes."""
     for m in (2, 3):
-        a = rng.standard_normal((6, 2, m, m))
-        b = rng.standard_normal((6, 2, m, m))
-        v = rng.standard_normal((6, 2, m))
-        want = (a @ v[..., None])[..., 0]
-        assert np.max(np.abs(_matvec(a, v) - want)) \
-            <= 1e-13 * np.max(np.abs(want))
-        # leading axes broadcast as with @
-        want = (a[:, :1] @ v[..., None])[..., 0]
-        assert np.max(np.abs(_matvec(a[:, :1], v) - want)) \
-            <= 1e-13 * np.max(np.abs(want))
-        assert np.array_equal(_matmul(a, b), a @ b)
-        assert np.array_equal(_solve(a, v),
-                              np.linalg.solve(a, v[..., None])[..., 0])
-        assert np.array_equal(_det(a), np.linalg.det(a))
-        singular = a.copy()
-        singular[3, 1] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
-            _solve(singular, v)
+        _check_slab_algebra(m, np.random.default_rng(12 + m))
+
+
+def _check_slab_algebra(m, rng):
+    shape = (6, 2, 5)
+    a = rng.standard_normal((m, m) + shape)
+    b = rng.standard_normal((m, m) + shape)
+    v = rng.standard_normal((m,) + shape)
+    one = a[..., :1, :1, :1]
+    for mat in (a, one):
+        assert np.array_equal(_matvec(mat, v),
+                              sum(mat[:, k] * v[k] for k in range(m)))
+        assert np.array_equal(_matmul(mat, b),
+                              sum(mat[:, k, None] * b[k] for k in range(m)))
+    bound = 2 * m * np.finfo(float).eps
+    assert np.all(np.abs(_matvec(a, v) - mv(a, v))
+                  <= bound * mv(np.abs(a), np.abs(v)))
+    assert np.all(np.abs(_matmul(a, b) - mm(a, b))
+                  <= bound * mm(np.abs(a), np.abs(b)))
+    moved = np.moveaxis(a, (0, 1), (-2, -1))
+    solved = np.linalg.solve(moved, np.moveaxis(v, 0, -1)[..., None])[..., 0]
+    assert np.array_equal(_solve(a, v), np.moveaxis(solved, -1, 0))
+    assert np.array_equal(_det(a), np.linalg.det(moved))
+    singular = a.copy()
+    singular[..., 3, 1, 4] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve(singular, v)

@@ -255,8 +255,23 @@ def test_cli_converge_rejects_verbose(tmp_path, capsys):
     assert not (tmp_path / "convergence_order2.csv").exists()
 
 
-def test_cli_meshes_doubling_range(tmp_path):
+def test_cli_meshes_doubling_range(tmp_path, capsys):
+    """Ranges parse as consecutive or doubling lists; a doubling range from
+    zero or below (which doubling never ends) and a non-integer entry are
+    rejected, and ``main`` reports either as an ``error:`` line with
+    exit status 2."""
     from aderfv.cli import _parse_int_list
     assert _parse_int_list("2..5") == [2, 3, 4, 5]
     assert _parse_int_list("8..64", doubling=True) == [8, 16, 32, 64]
     assert _parse_int_list("8,16,32") == [8, 16, 32]
+    for text in ("0..128", "-4..128"):
+        with pytest.raises(ValueError, match="positive"):
+            _parse_int_list(text, doubling=True)
+    for orders, meshes in (("2", "0..128"), ("2", "-4..128"), ("2", "8..x"),
+                           ("2..x", "8..16")):
+        argv = ["converge", "--system", "linear", f"--orders={orders}",
+                f"--meshes={meshes}", "--out", str(tmp_path)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not any(tmp_path.iterdir())

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from aderfv.nodes import (_apply, build_grid, gauss_legendre,
-                          newton_cotes_weights, space_derivative, space_nodes,
-                          time_derivative)
+from aderfv.nodes import (SPACE_AXIS, TIME_AXIS, _apply, build_grid,
+                          gauss_legendre, newton_cotes_weights,
+                          space_derivative, space_nodes, time_derivative)
 
 SQRT3 = math.sqrt(3.0)
 SQRT15 = math.sqrt(15.0)
@@ -195,9 +195,10 @@ def test_apply_matches_literal_node_sum(M):
     values[.., q, ..], for vector and matrix node data on both axes."""
     grid = build_grid(M, 0.1, 0.01)
     rng = np.random.default_rng(M)
-    for trailing in ((2,), (2, 2), (1,), (1, 1)):
-        values = rng.standard_normal((grid.n_space, grid.n_time, 5) + trailing)
-        for axis, mats in ((0, grid.space_diff), (1, grid.time_diff)):
+    for leading in ((2,), (2, 2), (1,), (1, 1)):
+        values = rng.standard_normal(leading + (grid.n_space, grid.n_time, 5))
+        for axis, mats in ((SPACE_AXIS, grid.space_diff),
+                           (TIME_AXIS, grid.time_diff)):
             for mat in mats:
                 got = _apply(mat, values, axis)
                 moved = np.moveaxis(values, axis, 0)
@@ -209,34 +210,38 @@ def test_apply_matches_literal_node_sum(M):
                 assert got.shape == values.shape
                 assert np.allclose(got, want, rtol=1e-13,
                                    atol=1e-13 * np.abs(mat).sum())
-                empty = values[:, :, :0]
+                empty = values[..., :0]
                 assert _apply(mat, empty, axis).shape == empty.shape
 
 
 def _per_slab(mat, values, axis, scale):
     """mat times the (nodes, rest) slab of each cell (on the time axis, of
-    each cell and space node) of node-major values, one product per slab,
-    divided by scale; also returns the bound n eps sum_q |mat_pq| |x_q| /
-    scale on the rounding of each entry."""
+    each cell and space node) of component-first values, the rest being the
+    cell's components (and, on the space axis, its time nodes), one product
+    per slab, divided by scale; also returns the bound
+    n eps sum_q |mat_pq| |x_q| / scale on the rounding of each entry."""
     want = np.empty_like(values)
     bound = np.empty_like(values)
     eps = mat.shape[0] * np.finfo(float).eps
-    n_space, _, n_cells = values.shape[:3]
+    n_space, _, n_cells = values.shape[-3:]
+    # position of the node axis in a cell's slab
+    node = -2 if axis == SPACE_AXIS else -1
     for c in range(n_cells):
-        for where in ([np.s_[:, :, c]] if axis == 0 else
-                      [np.s_[s, :, c] for s in range(n_space)]):
-            slab = values[where]
+        for where in ([np.s_[..., c]] if axis == SPACE_AXIS else
+                      [np.s_[..., s, :, c] for s in range(n_space)]):
+            slab = np.moveaxis(values[where], node, 0)
             flat = slab.reshape(slab.shape[0], -1)
-            want[where] = (mat @ flat).reshape(slab.shape) / scale
-            bound[where] = eps * (np.abs(mat) @ np.abs(flat)).reshape(
-                slab.shape) / scale
+            for out, product in ((want, mat @ flat),
+                                 (bound, eps * (np.abs(mat) @ np.abs(flat)))):
+                out[where] = np.moveaxis(product.reshape(slab.shape), 0,
+                                         node) / scale
     return want, bound
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
 @pytest.mark.parametrize("m", [1, 3])
 def test_derivatives_match_per_cell_products(M, m):
-    """On node-major (n_S, n_T, cells, ...) vector and matrix data, the
+    """On component-first (..., n_S, n_T, cells) vector and matrix data, the
     derivatives over all cells at once agree to 1 ulp with D_l times each
     cell's (nodes, rest) slab: the space axis per cell, the time axis per
     cell and space node.  A one-column slab (the time axis at m = 1) makes
@@ -247,21 +252,21 @@ def test_derivatives_match_per_cell_products(M, m):
     grid = build_grid(M, 0.1, 0.01)
     rng = np.random.default_rng(10 * M + m)
     n_cells = 37
-    for trailing in ((m,), (m, m)):
-        values = rng.standard_normal((grid.n_space, grid.n_time, n_cells)
-                                     + trailing)
-        cases = [(space_derivative, 0, grid.space_diff, grid.dx, l)
+    for leading in ((m,), (m, m)):
+        values = rng.standard_normal(leading
+                                     + (grid.n_space, grid.n_time, n_cells))
+        cases = [(space_derivative, SPACE_AXIS, grid.space_diff, grid.dx, l)
                  for l in range(1, M + 1)]
-        cases += [(time_derivative, 1, grid.time_diff, grid.dt, l)
+        cases += [(time_derivative, TIME_AXIS, grid.time_diff, grid.dt, l)
                   for l in range(1, grid.n_time)]
         for derivative, axis, mats, h, l in cases:
             got = derivative(values, l, grid, axis=axis)
             want, bound = _per_slab(mats[l], values, axis, h**l)
-            if axis == 1 and m == 1:
+            if axis == TIME_AXIS and m == 1:
                 assert np.all(np.abs(got - want) <= bound)
             else:
                 np.testing.assert_array_max_ulp(got, want, maxulp=1)
             # a batch of one cell is bitwise that cell's part of the batch
             for c in (0, 17):
-                alone = derivative(values[:, :, c:c + 1], l, grid, axis=axis)
-                assert np.array_equal(alone, got[:, :, c:c + 1])
+                alone = derivative(values[..., c:c + 1], l, grid, axis=axis)
+                assert np.array_equal(alone, got[..., c:c + 1])

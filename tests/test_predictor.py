@@ -20,8 +20,8 @@ from aderfv.weno import CellField, reconstruct
 def nodal_data_from_field(system, field, M, dt):
     grid = build_grid(M, field.dx, dt)
     recon = reconstruct(field, M)
-    w_nodal = recon.evaluate(grid.xi)
-    dxw = recon.evaluate(grid.xi, l=1) / field.dx
+    w_nodal = np.moveaxis(recon.evaluate(grid.xi), -1, 0).copy()
+    dxw = np.moveaxis(recon.evaluate(grid.xi, l=1), -1, 0) / field.dx
     return grid, w_nodal, dxw
 
 
@@ -35,9 +35,9 @@ def exact_averages(exact, n, dx, x_left, t=0.0, m=2):
 def test_initial_guess_constant_data_source_free():
     system = linear_system(1.0, 0.0)   # B = 0, S = 0
     grid = build_grid(2, 0.1, 0.05)
-    w = np.broadcast_to(np.array([0.7, -0.3]), (3, 4, 2)).copy()
+    w = np.broadcast_to(np.array([0.7, -0.3])[:, None, None], (2, 3, 4)).copy()
     q = initial_guess(system, w, np.zeros_like(w), grid)
-    assert np.allclose(q, w[:, None], atol=1e-14)
+    assert np.allclose(q, w[:, :, None], atol=1e-14)
 
 
 def test_initial_guess_linear_system_closed_form():
@@ -45,23 +45,23 @@ def test_initial_guess_linear_system_closed_form():
     system = linear_system(lam, beta)
     grid = build_grid(2, 0.1, 0.02)
     rng = np.random.default_rng(1)
-    w = rng.standard_normal((3, 3, 2))
-    dxw = rng.standard_normal((3, 3, 2))
+    w = rng.standard_normal((2, 3, 3))
+    dxw = rng.standard_normal((2, 3, 3))
     q = initial_guess(system, w, dxw, grid)
     a_mat = np.array([[0.0, lam], [lam, 0.0]])
     for j, tau_ref in enumerate(grid.tau):
         tau = tau_ref * grid.dt
-        want = (w - tau * dxw @ a_mat.T) / (1.0 - tau * beta)
-        assert np.max(np.abs(q[:, j] - want)) < 1e-13
+        want = (w - tau * np.tensordot(a_mat, dxw, axes=1)) / (1.0 - tau * beta)
+        assert np.max(np.abs(q[:, :, j] - want)) < 1e-13
 
 
 def test_initial_guess_vanishing_time_offset():
     system = leveque_yee_system(-100.0)
     grid = build_grid(1, 0.1, 1e-12)
-    w = np.full((2, 3, 1), 0.3)
-    dxw = np.full((2, 3, 1), 2.0)
+    w = np.full((1, 2, 3), 0.3)
+    dxw = np.full((1, 2, 3), 2.0)
     q = initial_guess(system, w, dxw, grid)
-    assert np.max(np.abs(q - w[:, None])) < 1e-10
+    assert np.max(np.abs(q - w[:, :, None])) < 1e-10
 
 
 def test_initial_guess_preserves_nonlinear_equilibria():
@@ -69,7 +69,7 @@ def test_initial_guess_preserves_nonlinear_equilibria():
     system = leveque_yee_system(-10000.0)
     grid = build_grid(2, 1 / 300, 6.7e-4)
     for value in (0.0, 1.0):
-        w = np.full((3, 3, 1), value)
+        w = np.full((1, 3, 3), value)
         q = initial_guess(system, w, np.zeros_like(w), grid)
         assert np.max(np.abs(q - value)) < 1e-13
 
@@ -79,7 +79,7 @@ def test_initial_guess_falls_back_near_singular_linearization():
     system = leveque_yee_system(-10000.0)
     # B(0.65) = +1825, choose dt so tau*B is essentially 1 at some node
     grid = build_grid(1, 1 / 300, 2.0 / 1825.07)
-    w = np.full((2, 1, 1), 0.65)
+    w = np.full((1, 2, 1), 0.65)
     q = initial_guess(system, w, np.zeros_like(w), grid)
     assert np.all(np.isfinite(q))
     assert np.max(np.abs(q - 0.65)) < 10.0 * (1.0 + 0.65) + 1e-9
@@ -93,15 +93,15 @@ def test_initial_guess_warns_when_every_node_is_singular():
     two keep tau dt B exactly 1)."""
     system = leveque_yee_system(-16384.0)
     grid = build_grid(1, 0.1, 2.0 / 4096.0)
-    w = np.full((2, 3, 1), 0.5)
+    w = np.full((1, 2, 3), 0.5)
     assert np.all(system.source_jacobian(w) == 4096.0)
     with pytest.warns(UserWarning, match="stiff-initialization failure"):
         q = initial_guess(system, w, np.zeros_like(w), grid)
-    assert np.array_equal(q, w[:, None])
-    w[0, 0] = 0.0                     # B = -8192 there: one solvable node
+    assert np.array_equal(q, w[:, :, None])
+    w[:, 0, 0] = 0.0                  # B = -8192 there: one solvable node
     with pytest.warns(UserWarning, match="stiff-initialization failure"):
         q = initial_guess(system, w, np.zeros_like(w), grid)
-    assert np.array_equal(q[:, :, 1:], w[:, None, 1:])
+    assert np.array_equal(q[..., 1:], w[:, :, None, 1:])
     assert np.all(np.isfinite(q))
 
 
@@ -109,7 +109,7 @@ def test_populate_stacks_constant_state():
     system = euler_system(1.4)
     grid = build_grid(3, 0.1, 0.05)
     q0 = euler_primitive_to_conserved(np.array([1.0, 1.0, 2.0]), 1.4)
-    q = np.broadcast_to(q0, (4, 3, 2, 3)).copy()
+    q = np.broadcast_to(q0[:, None, None, None], (3, 4, 3, 2)).copy()
     stack = populate_stacks(system, q, grid)
     # scaled derivatives amplify round-off by dx**-l
     scale = np.abs(q0).max()
@@ -130,13 +130,13 @@ def test_populate_stacks_gradient_accuracy():
         grid = build_grid(2, dx, dt)
         centers = (np.arange(n) + 0.5) * dx
         x_nodes = centers[None, :] + grid.xi[:, None] * dx
-        q_nodes = system.exact_solution(x_nodes, 0.0)[:, None]
-        q = np.broadcast_to(q_nodes, (3, grid.n_time, n, 2)).copy()
+        q_nodes = np.moveaxis(system.exact_solution(x_nodes, 0.0), -1, 0)
+        q = np.broadcast_to(q_nodes[:, :, None], (2, 3, grid.n_time, n)).copy()
         stack = populate_stacks(system, q, grid)
         two_pi = 2 * np.pi
         want = np.stack([two_pi * np.cos(two_pi * x_nodes),
-                         -two_pi * np.sin(two_pi * x_nodes)], axis=-1)
-        errs.append(np.max(np.abs(stack.dxQ[1] - want[:, None])))
+                         -two_pi * np.sin(two_pi * x_nodes)])
+        errs.append(np.max(np.abs(stack.dxQ[1] - want[:, :, None])))
     order = math.log2(errs[0] / errs[1])
     assert order > 1.6    # >= M for sampled data (interior superconvergence)
 
@@ -147,14 +147,16 @@ def test_populate_stacks_euler_jacobian_gradient_fd():
     grid = build_grid(2, dx, 0.01)
     centers = (np.arange(n) + 0.5) * dx
     x_nodes = centers[None, :] + grid.xi[:, None] * dx
-    q = np.broadcast_to(system.exact_solution(x_nodes, 0.0)[:, None],
-                        (3, 2, n, 3)).copy()
+    def states(x):
+        return np.moveaxis(system.exact_solution(x, 0.0), -1, 0)
+
+    q = np.broadcast_to(states(x_nodes)[:, :, None], (3, 3, 2, n)).copy()
     stack = populate_stacks(system, q, grid)
     h = 1e-6
-    a_plus = system.flux_jacobian(system.exact_solution(x_nodes + h, 0.0))
-    a_minus = system.flux_jacobian(system.exact_solution(x_nodes - h, 0.0))
+    a_plus = system.flux_jacobian(states(x_nodes + h))
+    a_minus = system.flux_jacobian(states(x_nodes - h))
     want = (a_plus - a_minus) / (2 * h)
-    err = np.max(np.abs(stack.dxA[1] - want[:, None]))
+    err = np.max(np.abs(stack.dxA[1] - want[:, :, :, None]))
     assert err < 0.5 * np.max(np.abs(want))   # O(dx^(M-1)) interpolation
 
 
@@ -163,29 +165,29 @@ def test_residual_zero_time_offset_recovers_reconstruction():
     system = linear_system(1.0, -1.0)
     grid = build_grid(2, 0.1, 0.05)
     rng = np.random.default_rng(3)
-    w = rng.standard_normal((3, 2, 2))
-    q = rng.standard_normal((3, 2, 2, 2))
+    w = rng.standard_normal((2, 3, 2))
+    q = rng.standard_normal((2, 3, 2, 2))
     stack = populate_stacks(system, q, grid)
     C = matrix_c(stack, 2, grid)
     h, jac = residual_and_jacobian(stack, C, w, np.zeros(grid.n_time), 2)
-    assert np.allclose(h, q - w[:, None])
-    assert np.allclose(jac, np.eye(2))
+    assert np.allclose(h, q - w[:, :, None])
+    assert np.allclose(jac, np.eye(2)[:, :, None, None, None])
 
 
 def test_newton_sweep_source_free_is_explicit_taylor():
     system = linear_system(1.0, 0.0)
     grid = build_grid(2, 0.05, 0.02)
     rng = np.random.default_rng(4)
-    w = rng.standard_normal((3, 3, 2))
-    q = w[:, None] + 0.01 * rng.standard_normal((3, grid.n_time, 3, 2))
+    w = rng.standard_normal((2, 3, 3))
+    q = w[:, :, None] + 0.01 * rng.standard_normal((2, 3, grid.n_time, 3))
     stack = populate_stacks(system, q, grid)
     C = matrix_c(stack, 2, grid)
     q_new, res = newton_sweep(stack, C, w, grid)
     _, explicit = taylor_terms(stack, C, 2)
     tau = grid.tau * grid.dt
-    want = np.broadcast_to(w[:, None], q.shape).astype(float).copy()
+    want = np.broadcast_to(w[:, :, None], q.shape).astype(float).copy()
     for k in (1, 2):
-        ck = ((-tau) ** k / math.factorial(k))[None, :, None, None]
+        ck = ((-tau) ** k / math.factorial(k))[:, None]
         want = want - ck * explicit[k]
     assert np.max(np.abs(q_new - want)) < 1e-13
 
@@ -195,15 +197,15 @@ def test_predictor_constant_data_all_orders():
     q0 = euler_primitive_to_conserved(np.array([1.3, 0.4, 2.2]), 1.4)
     for M in (1, 2, 3, 4):
         grid = build_grid(M, 0.1, 0.05)
-        w = np.broadcast_to(q0, (M + 1, 3, 3)).copy()
+        w = np.broadcast_to(q0[:, None, None], (3, M + 1, 3)).copy()
         q, _, _ = predictor_solve(system, w, np.zeros_like(w), grid)
-        assert np.max(np.abs(q - q0)) < 1e-13
+        assert np.max(np.abs(q - q0[:, None, None, None])) < 1e-13
 
 
 def test_predictor_equilibrium_preservation_stiff():
     system = leveque_yee_system(-10000.0)
     grid = build_grid(3, 1 / 300, 0.2 / 300)
-    w = np.ones((4, 4, 1))
+    w = np.ones((1, 4, 4))
     q, _, _ = predictor_solve(system, w, np.zeros_like(w), grid)
     assert np.max(np.abs(q - 1.0)) < 1e-14
 
@@ -222,8 +224,8 @@ def test_predictor_m1_linear_fixed_point_residual():
     # the single sweep (M = 1) freezes dxQ at the initial guess
     q_old = initial_guess(system, w_nodal, dxw, grid)
     dxq_old = populate_stacks(system, q_old, grid).dxQ[1]
-    resid = q - w_nodal[:, None] \
-        + tau * (dxq_old @ a_mat.T - beta * q)
+    resid = q - w_nodal[:, :, None] \
+        + tau * (np.tensordot(a_mat, dxq_old, axes=1) - beta * q)
     assert np.max(np.abs(resid)) < 1e-10
 
 
@@ -243,9 +245,9 @@ def test_predictor_source_free_equals_explicit_taylor_pipeline():
         stack = populate_stacks(system, q, grid)
         C = matrix_c(stack, 2, grid)
         _, explicit = taylor_terms(stack, C, 2)
-        q_next = np.broadcast_to(w_nodal[:, None], q.shape).astype(float).copy()
+        q_next = np.broadcast_to(w_nodal[:, :, None], q.shape).astype(float).copy()
         for k in (1, 2):
-            ck = ((-tau) ** k / math.factorial(k))[None, :, None, None]
+            ck = ((-tau) ** k / math.factorial(k))[:, None]
             q_next = q_next - ck * explicit[k]
         q = q_next
     assert np.max(np.abs(q_solved - q)) < 1e-12
@@ -267,8 +269,8 @@ def test_predictor_eoc_linear_system(M, min_order):
         x_nodes = centers[None, :] + grid.xi[:, None] * dx
         err = 0.0
         for j, tau in enumerate(grid.tau):
-            vals = system.exact_solution(x_nodes, tau * dt)
-            err = max(err, np.max(np.abs(q[:, j] - vals)))
+            vals = np.moveaxis(system.exact_solution(x_nodes, tau * dt), -1, 0)
+            err = max(err, np.max(np.abs(q[:, :, j] - vals)))
         errs.append(err)
     order = math.log2(errs[0] / errs[1])
     assert order >= min_order
@@ -290,8 +292,8 @@ def test_predictor_eoc_euler_fifth_order():
         x_nodes = centers[None, :] + grid.xi[:, None] * dx
         err = 0.0
         for j, tau in enumerate(grid.tau):
-            vals = system.exact_solution(x_nodes, tau * dt)
-            err = max(err, np.max(np.abs(q[:, j] - vals)))
+            vals = np.moveaxis(system.exact_solution(x_nodes, tau * dt), -1, 0)
+            err = max(err, np.max(np.abs(q[:, :, j] - vals)))
         errs.append(err)
     order = math.log2(errs[0] / errs[1])
     assert order >= 4.2
@@ -356,10 +358,10 @@ def test_predictor_early_exit_is_per_cell():
         grid, w_nodal, dxw = nodal_data_from_field(system, field, M, dt)
         full, _, _ = predictor_solve(system, w_nodal, dxw, grid)
         for bounds in ((0, 13, 29, 40), tuple(range(n + 1))):
-            parts = [predictor_solve(system, w_nodal[:, a:b], dxw[:, a:b],
-                                     grid)[0]
+            parts = [predictor_solve(system, w_nodal[..., a:b],
+                                     dxw[..., a:b], grid)[0]
                      for a, b in zip(bounds[:-1], bounds[1:])]
-            assert np.array_equal(full, np.concatenate(parts, axis=2)), M
+            assert np.array_equal(full, np.concatenate(parts, axis=-1)), M
 
 
 def _full_batch_solve(system, w_nodal, dxw, grid, tol):
@@ -368,7 +370,7 @@ def _full_batch_solve(system, w_nodal, dxw, grid, tol):
     trace and the number of cells the mask still holds at the end."""
     q = initial_guess(system, w_nodal, dxw, grid)
     residuals = []
-    active = np.ones(q.shape[2], dtype=bool)
+    active = np.ones(q.shape[-1], dtype=bool)
     for _ in range(grid.M):
         if not active.any():
             break
@@ -377,7 +379,7 @@ def _full_batch_solve(system, w_nodal, dxw, grid, tol):
         q_new, cell_res = newton_sweep(stack, C, w_nodal, grid)
         residuals.append(float(cell_res.max()))
         active = active & (cell_res > tol)
-        q = np.where(active[:, None], q_new, q)
+        q = np.where(active, q_new, q)
     return q, residuals, int(active.sum())
 
 
@@ -414,9 +416,9 @@ def _predictor_cases(shu_osher_field):
     # stable equilibrium: every cell converges in sweep 1
     system = leveque_yee_system(-1000.0)
     grid = build_grid(3, 1 / 120, 0.2 / 120)
-    w = np.ones((4, 6, 1))
+    w = np.ones((1, 4, 6))
     yield "equilibrium", (system, grid, w, np.zeros_like(w))
-    yield "no cells", (system, grid, w[:, :0], w[:, :0])
+    yield "no cells", (system, grid, w[..., :0], w[..., :0])
 
 
 def test_predictor_matches_full_batch_oracle(shu_osher_field):
@@ -440,7 +442,7 @@ def test_predictor_matches_full_batch_oracle(shu_osher_field):
         if name == "equilibrium":
             assert len(trace) == 1 and unverified == 0
         if name == "no cells":
-            assert trace == [] and q.shape == (4, grid.n_time, 0, 1)
+            assert trace == [] and q.shape == (1, 4, grid.n_time, 0)
 
 
 @pytest.mark.parametrize("data", ["stiff pulse", "shu-osher"])
@@ -461,14 +463,14 @@ def test_predictor_sweeps_receive_only_updating_cells(monkeypatch, data,
     monkeypatch.setattr(predictor, "newton_sweep", spy)
     predictor_solve(system, w_nodal, dxw, grid)
     assert len(calls) == 3
-    rows = np.arange(w_nodal.shape[1])
+    rows = np.arange(w_nodal.shape[-1])
     assert np.array_equal(calls[0][1], w_nodal)
     for (_, _, q_prev, res_prev), (q_in, w_in, _, _) in zip(calls, calls[1:]):
         kept = res_prev > tol
         rows = rows[kept]
-        assert 0 < rows.size < w_nodal.shape[1]
-        assert np.array_equal(w_in, w_nodal[:, rows])
-        assert np.array_equal(q_in, q_prev[:, :, kept])
+        assert 0 < rows.size < w_nodal.shape[-1]
+        assert np.array_equal(w_in, w_nodal[..., rows])
+        assert np.array_equal(q_in, q_prev[..., kept])
 
 
 @pytest.mark.parametrize("data", ["stiff pulse", "shu-osher"])
@@ -483,7 +485,7 @@ def test_predictor_stacks_receive_contiguous_states(monkeypatch, data,
 
     def spy(system, Q, grid):
         assert Q.flags.c_contiguous
-        sizes.append(Q.shape[2])
+        sizes.append(Q.shape[-1])
         return populate_stacks(system, Q, grid)
 
     monkeypatch.setattr(predictor, "populate_stacks", spy)
@@ -500,16 +502,16 @@ def test_predictor_error_locates_cell_in_batch(monkeypatch):
 
     def singular_at_target(stack, C, w, tau_phys, M):
         h, jac = residual_and_jacobian(stack, C, w, tau_phys, M)
-        sweeps.append(w.shape[1])
+        sweeps.append(w.shape[-1])
         if len(sweeps) == 2:
-            rows = np.all(w == w_nodal[:, target, None], axis=(0, 2))
-            jac = np.where(rows[:, None, None], 0.0, jac)
+            rows = np.all(w == w_nodal[..., target, None], axis=(0, 1))
+            jac = np.where(rows, 0.0, jac)
         return h, jac
 
     monkeypatch.setattr(predictor, "residual_and_jacobian", singular_at_target)
     with pytest.raises(PredictorError) as err:
         predictor_solve(system, w_nodal, dxw, grid)
-    assert sweeps[1] < w_nodal.shape[1]
+    assert sweeps[1] < w_nodal.shape[-1]
     assert set(err.value.nodes[:, 0].tolist()) == {target}
     assert f"[{target}, 0, 0]" in str(err.value)
 
@@ -524,7 +526,7 @@ def test_zero_scalar_jacobian_names_its_node(monkeypatch):
         h, jac = residual_and_jacobian(stack, C, w, tau_phys, M)
         jac = jac.copy()
         cell, space, time = node
-        jac[space, time, cell] = 0.0
+        jac[:, :, space, time, cell] = 0.0
         return h, jac
 
     monkeypatch.setattr(predictor, "residual_and_jacobian", zero_at_node)

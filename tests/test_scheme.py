@@ -28,15 +28,15 @@ def scalar_advection():
         name="advection", m=1,
         flux=lambda q: q.copy(),
         source=lambda q: np.zeros_like(q),
-        flux_jacobian=lambda q: np.ones(q.shape[:-1] + (1, 1)),
-        source_jacobian=lambda q: np.zeros(q.shape[:-1] + (1, 1)),
-        eigenvalues=lambda q: np.ones(q.shape[:-1] + (1,)),
+        flux_jacobian=lambda q: np.ones((1,) + q.shape),
+        source_jacobian=lambda q: np.zeros((1,) + q.shape),
+        eigenvalues=lambda q: np.ones(q.shape),
         exact_solution=None)
 
 
 def test_rusanov_consistency():
     system = linear_system(1.0, -1.0)
-    q = np.array([[0.4, -1.2]])
+    q = np.array([[0.4], [-1.2]])
     assert np.allclose(rusanov_flux(q, q, system), system.flux(q))
 
 
@@ -49,17 +49,17 @@ def test_rusanov_scalar_advection_is_upwind():
 
 def test_rusanov_linear_system_arithmetic():
     system = linear_system(1.0, -1.0)
-    ql = np.array([[1.0, 0.0]])
-    qr = np.array([[0.0, 1.0]])
+    ql = np.array([[1.0], [0.0]])
+    qr = np.array([[0.0], [1.0]])
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    want = 0.5 * (ql @ a.T + qr @ a.T) - 0.5 * (qr - ql)
+    want = 0.5 * (a @ ql + a @ qr) - 0.5 * (qr - ql)
     assert np.allclose(rusanov_flux(ql, qr, system), want)
 
 
 def test_rusanov_rejects_inadmissible_euler_state():
     system = euler_system(1.4)
-    good = euler_primitive_to_conserved(np.array([[1.0, 0.0, 1.0]]), 1.4)
-    bad = np.array([[1.0, 10.0, 1.0]])
+    good = euler_primitive_to_conserved(np.array([[1.0, 0.0, 1.0]]), 1.4).T
+    bad = np.array([[1.0], [10.0], [1.0]])
     with pytest.raises(InadmissibleStateError):
         rusanov_flux(good, bad, system)
 
@@ -68,9 +68,10 @@ def test_interface_flux_constant_traces():
     system = linear_system(1.0, -1.0)
     grid = build_grid(3, 0.1, 0.02)
     q = np.array([0.3, 0.7])
-    traces = np.broadcast_to(q, (grid.n_time, 5, 2)).copy()
+    traces = np.broadcast_to(q[:, None, None], (2, grid.n_time, 5)).copy()
     got = interface_flux(traces, traces, system, grid)
-    assert np.allclose(got, system.flux(q))
+    assert got.shape == (2, 5)
+    assert np.allclose(got, system.flux(q)[:, None])
 
 
 def test_interface_flux_single_time_node():
@@ -79,7 +80,7 @@ def test_interface_flux_single_time_node():
     left = np.array([[[0.9]]])
     right = np.array([[[0.2]]])
     got = interface_flux(left, right, system, grid)
-    assert np.allclose(got, rusanov_flux(left[0], right[0], system))
+    assert np.allclose(got, rusanov_flux(left[:, 0], right[:, 0], system))
 
 
 def test_interface_flux_quadrature_accuracy():
@@ -94,18 +95,18 @@ def test_interface_flux_quadrature_accuracy():
     for M, tol in ((2, 1e-8), (3, 1e-11)):
         grid = build_grid(M, 0.1, dt)
         traces = np.stack([system.exact_solution(x0, tj * dt)
-                           for tj in grid.tau], axis=0)[:, None]
+                           for tj in grid.tau], axis=-1)[:, :, None]
         got = interface_flux(traces, traces, system, grid)
         tt, ww = gauss_legendre(12, 0.0, dt)
         want = sum(w * system.flux(system.exact_solution(x0, ti))
                    for ti, w in zip(tt, ww)) / dt
-        assert np.max(np.abs(got[0] - want)) < tol
+        assert np.max(np.abs(got[:, 0] - want)) < tol
 
 
 def test_cell_source_zero_source():
     system = euler_system(1.4)
     grid = build_grid(2, 0.1, 0.02)
-    q = np.ones((3, grid.n_time, 4, 3))
+    q = np.ones((3, 3, grid.n_time, 4))
     assert np.allclose(cell_source(q, system, grid), 0.0)
 
 
@@ -115,14 +116,15 @@ def test_cell_source_identity_source_constant_state():
         name="ident", m=2,
         flux=lambda q: np.zeros_like(q),
         source=lambda q: q.copy(),
-        flux_jacobian=lambda q: np.zeros(q.shape[:-1] + (2, 2)),
-        source_jacobian=lambda q: np.broadcast_to(np.eye(2), q.shape[:-1] + (2, 2)),
-        eigenvalues=lambda q: np.ones(q.shape[:-1] + (2,)))
+        flux_jacobian=lambda q: np.zeros((2,) + q.shape),
+        source_jacobian=lambda q: np.multiply.outer(np.eye(2),
+                                                    np.ones(q.shape[1:])),
+        eigenvalues=lambda q: np.ones(q.shape))
     grid = build_grid(2, 0.1, 0.02)
     c = np.array([1.5, -2.0])
-    q = np.broadcast_to(c, (3, grid.n_time, 3, 2)).copy()
+    q = np.broadcast_to(c[:, None, None, None], (2, 3, grid.n_time, 3)).copy()
     got = cell_source(q, ident, grid)
-    assert np.allclose(got, c, atol=1e-14)
+    assert np.allclose(got, c[:, None], atol=1e-14)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
@@ -132,13 +134,13 @@ def test_cell_source_matches_literal_quadrature(M):
     system = leveque_yee_system(-1000.0)
     grid = build_grid(M, 0.1, 0.02)
     rng = np.random.default_rng(M)
-    q = rng.random((grid.n_space, grid.n_time, 6, 1))
+    q = rng.random((1, grid.n_space, grid.n_time, 6))
     s_nodal = system.source(q)
     w_space = newton_cotes_weights(M + 1)
-    want = np.zeros((6, 1))
+    want = np.zeros((1, 6))
     for a in range(grid.n_space):
         for j in range(grid.n_time):
-            want += w_space[a] * grid.tau_weights[j] * s_nodal[a, j]
+            want += w_space[a] * grid.tau_weights[j] * s_nodal[:, a, j]
     got = cell_source(q, system, grid)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -158,7 +160,7 @@ def test_cfl_timestep_euler_field():
     lam = np.max(1.0 + np.sqrt(1.4 * 2.0 / prim_rho))
     # cell averages of rho enter both sides identically up to projection
     got = cfl_timestep(field, system, 0.9)
-    assert abs(got - 0.9 * 0.01 / np.max(np.abs(system.eigenvalues(field.averages)))) < 1e-15
+    assert abs(got - 0.9 * 0.01 / np.max(np.abs(system.eigenvalues(field.averages.T)))) < 1e-15
     assert got == pytest.approx(0.9 * 0.01 / lam, rel=1e-2)
 
 
@@ -167,9 +169,9 @@ def test_cfl_timestep_rejects_zero_wave_speed():
         name="still", m=1,
         flux=lambda q: np.zeros_like(q),
         source=lambda q: np.zeros_like(q),
-        flux_jacobian=lambda q: np.zeros(q.shape[:-1] + (1, 1)),
-        source_jacobian=lambda q: np.zeros(q.shape[:-1] + (1, 1)),
-        eigenvalues=lambda q: np.zeros(q.shape[:-1] + (1,)))
+        flux_jacobian=lambda q: np.zeros((1,) + q.shape),
+        source_jacobian=lambda q: np.zeros((1,) + q.shape),
+        eigenvalues=lambda q: np.zeros(q.shape))
     field = CellField(10, 0.1, 0.0, np.ones((10, 1)))
     with pytest.raises(ValueError):
         cfl_timestep(field, still, 0.5)
@@ -419,6 +421,22 @@ def test_thread_count_keeps_stiff_run_bitwise():
     assert one.steps == two.steps
 
 
+def test_thread_count_keeps_euler_run_bitwise():
+    """An m = 3 run gives the same averages and step records at one, two
+    and three threads.  Its second sweeps evaluate only the cells still
+    updating, a different set in each thread block, so the m x m algebra
+    runs on batches that differ with the thread count."""
+    case = make_case("shu-osher")
+    one, *more = (run(build_config(case, 3, cells=200, t_out=0.05,
+                                   n_threads=n)) for n in (1, 2, 3))
+    assert one.n_steps == 46
+    assert any(len(s.residuals) == 2 for s in one.steps)
+    assert 0 < max(s.unverified_cells for s in one.steps) < 200
+    for other in more:
+        assert np.array_equal(other.field.averages, one.field.averages)
+        assert other.steps == one.steps
+
+
 @pytest.mark.parametrize("n_threads", [1, 3])
 def test_unverified_cells_are_last_sweep_updates(monkeypatch, n_threads):
     """A step's ``unverified_cells`` is the number of cells whose residual in
@@ -486,17 +504,17 @@ def test_predictor_error_names_mesh_cell(monkeypatch, n_threads, beta, target,
                       boundary="transmissive", cfl=0.2, n_threads=n_threads)
     grid = build_grid(2, field.dx, 0.2 * field.dx)
     coeffs = reconstruct_padded(field.extended(3), 2)
-    W = ReconstructionSet(2, coeffs).evaluate(grid.xi)
+    W = np.moveaxis(ReconstructionSet(2, coeffs).evaluate(grid.xi), -1, 0)
     flags = transition_cells(field, cfg.system, W, grid.dt)
     assert flags[:target + 1].any() == transition_left
     assert not flags[target + 1]
-    w_target = W[:, target + 1]
+    w_target = W[..., target + 1]
 
     def singular_at_target(stack, C, w, tau_phys, M):
         h, jac = residual_and_jacobian(stack, C, w, tau_phys, M)
-        rows = np.all(w == w_target[:, None], axis=(0, 2))
+        rows = np.all(w == w_target[..., None], axis=(0, 1))
         assert rows.sum() <= 1
-        return h, np.where(rows[:, None, None], 0.0, jac)
+        return h, np.where(rows, 0.0, jac)
 
     monkeypatch.setattr(predictor, "residual_and_jacobian", singular_at_target)
     with pytest.raises(PredictorError) as err:
@@ -519,8 +537,8 @@ def test_predictor_error_waits_for_every_thread_block(monkeypatch):
     monkeypatch.setattr(scheme, "predictor_solve", solve)
     cfg = make_config(linear_system(1.0, -1.0), None, 3, 8, n_threads=2)
     grid = build_grid(2, 0.1, 0.01)
-    W_nodal = np.broadcast_to(np.arange(8.0)[:, None], (3, 8, 2)).copy()
-    out = np.empty((3, grid.n_time, 8, 2))
+    W_nodal = np.broadcast_to(np.arange(8.0), (2, 3, 8)).copy()
+    out = np.empty((2, 3, grid.n_time, 8))
     with pytest.raises(PredictorError):
         scheme._predict(cfg, W_nodal, W_nodal, grid, np.arange(8), out)
     assert finished == [True]
@@ -585,14 +603,16 @@ def first_step_nodes(cfg):
     grid = build_grid(cfg.M, cfg.dx, cfl_timestep(field, cfg.system, cfg.cfl))
     coeffs = reconstruct_padded(field.extended(cfg.M + 1), cfg.M)
     recon = ReconstructionSet(cfg.M, coeffs)
-    return field, grid, recon.evaluate(grid.xi), recon.evaluate(grid.xi, l=1) / cfg.dx
+    W = np.moveaxis(recon.evaluate(grid.xi), -1, 0)
+    dxW = np.moveaxis(recon.evaluate(grid.xi, l=1), -1, 0) / cfg.dx
+    return field, grid, W, dxW
 
 
 def test_transition_cells_skip_systems():
     system = linear_system(1.0, -1.0e6)
     field = project_initial(lambda x: system.exact_solution(x, 0.0), 16, 0.0,
                             1.0 / 16)
-    W = np.random.default_rng(0).standard_normal((3, 18, 2))
+    W = np.random.default_rng(0).standard_normal((2, 3, 18))
     assert not transition_cells(field, system, W, 1.0).any()
 
 
@@ -636,11 +656,12 @@ def test_transition_cell_takes_two_state_solution():
     theta = (q_r - avg) / (q_r - q_l)
     front = -0.5 + theta + grid.tau * grid.dt / grid.dx
     want = np.where(grid.xi[:, None] < front[None, :], q_l, q_r)
-    assert np.array_equal(q[:, :, 91, 0], want)
+    assert np.array_equal(q[0, :, :, 91], want)
 
-    keep = np.arange(q.shape[2]) != 91
-    other, _, _ = predictor_solve(cfg.system, W[:, keep], dxW[:, keep], grid)
-    assert np.array_equal(q[:, :, keep], other)
+    keep = np.arange(q.shape[-1]) != 91
+    other, _, _ = predictor_solve(cfg.system, W[..., keep], dxW[..., keep],
+                                  grid)
+    assert np.array_equal(q[..., keep], other)
 
 
 def test_stiff_front_speed_at_subcell_offset():

@@ -26,15 +26,16 @@ def fd_jacobian(func, q, h=1e-6):
 
 
 def random_states(system_name, n, seed=0):
+    """n random admissible states, component-first (m, n)."""
     rng = np.random.default_rng(seed)
     if system_name in ("linear", "nonlinear"):
-        return rng.uniform(-1.0, 1.0, size=(n, 2))
+        return rng.uniform(-1.0, 1.0, size=(2, n))
     if system_name == "leveque-yee":
-        return rng.uniform(-0.2, 1.2, size=(n, 1))
+        return rng.uniform(-0.2, 1.2, size=(1, n))
     rho = rng.uniform(0.5, 4.0, size=n)
     u = rng.uniform(-2.0, 3.0, size=n)
     p = rng.uniform(0.5, 11.0, size=n)
-    return euler_primitive_to_conserved(np.stack([rho, u, p], axis=-1), 1.4)
+    return euler_primitive_to_conserved(np.stack([rho, u, p], axis=-1), 1.4).T
 
 
 SYSTEMS = {
@@ -51,13 +52,39 @@ def test_analytic_jacobians_match_finite_differences(name):
     states = random_states(name, 100, seed=42)
     a_got = system.flux_jacobian(states)
     b_got = system.source_jacobian(states)
-    for i, q in enumerate(states):
+    for i, q in enumerate(states.T):
         a_fd = fd_jacobian(system.flux, q)
         scale = max(1.0, np.abs(a_fd).max())
-        assert np.max(np.abs(a_got[i] - a_fd)) / scale < 1e-6
+        assert np.max(np.abs(a_got[..., i] - a_fd)) / scale < 1e-6
         b_fd = fd_jacobian(system.source, q)
         scale_b = max(1.0, np.abs(b_fd).max())
-        assert np.max(np.abs(b_got[i] - b_fd)) / scale_b < 1e-6
+        assert np.max(np.abs(b_got[..., i] - b_fd)) / scale_b < 1e-6
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+@pytest.mark.parametrize("nodes", [(), (7,), (3, 2, 7)])
+def test_state_callables_are_component_first(name, nodes):
+    """On states (m, *nodes) every callable returns its component-first
+    shape, and the Jacobians match central differences of flux and source
+    taken on whole component slabs."""
+    system = SYSTEMS[name]()
+    m = system.m
+    q = random_states(name, math.prod(nodes), seed=3).reshape((m,) + nodes)
+    assert system.flux(q).shape == (m,) + nodes
+    assert system.source(q).shape == (m,) + nodes
+    assert system.eigenvalues(q).shape == (m,) + nodes
+    if system.admissible is not None:
+        assert system.admissible(q).shape == nodes
+    for func, jacobian in ((system.flux, system.flux_jacobian),
+                           (system.source, system.source_jacobian)):
+        got = jacobian(q)
+        assert got.shape == (m, m) + nodes
+        for j in range(m):
+            step = np.zeros_like(q)
+            step[j] = 1e-6 * np.maximum(1.0, np.abs(q[j]))
+            column = (func(q + step) - func(q - step)) / (2 * step[j])
+            scale = max(1.0, np.abs(column).max())
+            assert np.max(np.abs(got[:, j] - column)) / scale < 1e-6
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
@@ -66,16 +93,16 @@ def test_eigenvalues_match_spectrum_of_flux_jacobian(name):
     states = random_states(name, 25, seed=7)
     lams = system.eigenvalues(states)
     mats = system.flux_jacobian(states)
-    for i in range(len(states)):
-        want = np.sort(np.linalg.eigvals(mats[i]).real)
-        got = np.sort(lams[i])
+    for i in range(states.shape[1]):
+        want = np.sort(np.linalg.eigvals(mats[..., i]).real)
+        got = np.sort(lams[:, i])
         assert np.max(np.abs(got - want)) < 1e-8
 
 
 def test_linear_eigenvalues_are_plus_minus_lambda():
     system = linear_system(2.5, -1.0)
-    lams = system.eigenvalues(np.array([[0.3, -0.4]]))
-    assert np.allclose(np.sort(lams[0]), [-2.5, 2.5])
+    lams = system.eigenvalues(np.array([0.3, -0.4]))
+    assert np.allclose(np.sort(lams), [-2.5, 2.5])
 
 
 def test_linear_exact_initial_condition():
@@ -129,7 +156,7 @@ def _assert_pde_residual_second_order(system, points=None):
 def test_nonlinear_flux_and_source_special_points():
     system = nonlinear_system(-1.0)
     assert np.allclose(system.flux(np.array([0.0, 0.0])), [0.0, 0.0])
-    states = np.array([[0.5, 1.0], [-0.2, -0.4], [1.0, 2.0]])  # 2u = v
+    states = np.array([[0.5, -0.2, 1.0], [1.0, -0.4, 2.0]])  # 2u = v
     assert np.allclose(system.source(states), 0.0)
 
 
@@ -235,9 +262,9 @@ def test_nonlinear_exact_reports_nonconvergence():
 
 def test_leveque_yee_source_equilibria_and_jacobian():
     system = leveque_yee_system(-10000.0)
-    q = np.array([[0.0], [0.5], [1.0]])
+    q = np.array([[0.0, 0.5, 1.0]])
     assert np.allclose(system.source(q), 0.0)
-    assert np.allclose(system.source_jacobian(np.array([0.0]))[..., 0, 0],
+    assert np.allclose(system.source_jacobian(np.array([0.0]))[0, 0],
                        -10000.0 / 2.0)
 
 
@@ -299,7 +326,7 @@ def test_euler_admissibility_mask():
     system = euler_system(1.4)
     good = euler_primitive_to_conserved(np.array([1.0, 0.0, 1.0]), 1.4)
     bad = np.array([1.0, 10.0, 1.0])   # negative pressure
-    mask = system.admissible(np.stack([good, bad]))
+    mask = system.admissible(np.stack([good, bad], axis=-1))
     assert mask.tolist() == [True, False]
 
 
