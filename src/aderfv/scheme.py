@@ -281,8 +281,9 @@ def nodal_solution(field: CellField, config: RunConfig, grid: NodeGrid):
     coeffs = reconstruct_padded(field.extended(M + 1), M, config.weno)
     recon = ReconstructionSet(M, coeffs)
     # the reconstruction's (n_S, N+2, m) values, once to component-first
-    W_nodal = np.moveaxis(recon.evaluate(grid.xi), -1, 0).copy()
-    dxW = np.moveaxis(recon.evaluate(grid.xi, l=1) / field.dx, -1, 0).copy()
+    W_nodal = np.ascontiguousarray(recon.evaluate(grid.xi).transpose(2, 0, 1))
+    dxW = np.ascontiguousarray(
+        (recon.evaluate(grid.xi, l=1) / field.dx).transpose(2, 0, 1))
 
     flags = transition_cells(field, config.system, W_nodal, grid.dt)
     q_nodal = np.empty(W_nodal.shape[:2] + (grid.n_time,) + W_nodal.shape[2:])
