@@ -144,10 +144,10 @@ def _apply(mat: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
     # components, so the space axis is one product over all cells per
     # component and the time axis one per component and space node.  A
     # one-column slab (one cell on the time axis) would go to a
-    # matrix-vector kernel that rounds
-    # differently from the matrix product; doubling the column keeps a lone
-    # cell's values bitwise those it gets in any batch, so results do not
-    # depend on the batching (thread blocks, cells still updating).
+    # matrix-vector kernel that rounds differently from the matrix product;
+    # doubling the column keeps a lone cell's values bitwise those it gets
+    # in any batch, so results do not depend on the batching (thread
+    # blocks, cells still updating).
     shape = values.shape
     axis %= len(shape)
     lead, rest = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
