@@ -235,12 +235,12 @@ def test_criterion_6_ck_coefficient_suite():
     lam, beta = 1.0, -1.0
     a_mat = np.array([[0.0, lam], [lam, 0.0]])
     grid = build_grid(4, 0.5, 0.5)
-    shape = (grid.n_space, grid.n_time, 1)     # component-first nodes
-    nodes = (slice(None), slice(None)) + (None,) * len(shape)
+    shape = (grid.n_space, grid.n_time, 1)     # behind the components
     stack = NodeDerivativeStack(
         Q=rng.standard_normal((2,) + shape),
-        A=np.broadcast_to(a_mat[nodes], (2, 2) + shape).copy(),
-        B=np.broadcast_to(beta * np.eye(2)[nodes], (2, 2) + shape).copy(),
+        A=np.broadcast_to(a_mat[:, :, None, None, None], (2, 2) + shape).copy(),
+        B=np.broadcast_to(beta * np.eye(2)[:, :, None, None, None],
+                          (2, 2) + shape).copy(),
         S=np.zeros((2,) + shape))
     stack.S = beta * stack.Q
     for l in range(1, 5):
