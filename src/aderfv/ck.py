@@ -13,17 +13,16 @@ procedure into a recursion over two families of m-by-m matrices:
 
 The time derivatives themselves follow the recursion
 ``dtQ[k] = M_k + B dtQ[k-1]`` with ``M_k`` assembled by :func:`m_vector` and
-the base case ``dtQ[1] = -A dxQ + S``.  :func:`taylor_terms` evaluates it,
-together with the source-free parts ``E_k = M_k + B E_{k-1}`` that the
-implicit predictor needs; it is the only form of the functional.
+the base case ``dtQ[1] = -A dxQ + S``.  :func:`taylor_terms` evaluates it;
+it is the only form of the functional.
 
 All data is plain per-order dicts of arrays: a :class:`NodeDerivativeStack`
 family maps derivative order (from 0, the field itself) to an array, C is a
 dict keyed ``(k, l)`` and :func:`taylor_terms` returns the time derivatives
-and their explicit parts keyed by order.  Arrays are component-first (see
-:mod:`aderfv.nodes`): a vector is (m, ...) and a matrix (m, m, ...), and the
-functions broadcast over the trailing node axes, so a "node" may equally be
-a single state or a whole grid of space-time nodes times cells;
+keyed by order.  Arrays are component-first (see :mod:`aderfv.nodes`): a
+vector is (m, ...) and a matrix (m, m, ...), and the functions broadcast
+over the trailing node axes, so a "node" may equally be a single state or a
+whole grid of space-time nodes times cells;
 :func:`matrix_c` alone needs the predictor's (m, m, n_S, n_T, cells) layout,
 since it differentiates across the time nodes on ``nodes.TIME_AXIS``.
 
@@ -116,43 +115,30 @@ class NodeDerivativeStack:
     ``dxQ`` holds Q and its spatial derivatives up to order M, ``dxA`` A up
     to M-1, ``dxB`` and ``dtB`` B and its spatial and time derivatives up to
     M-2 (only order 0 when B vanishes).  All arrays are physically scaled.
-    ``Q``, ``A`` and ``B`` name the order-0 entries, so assigning one updates
-    its families, and assigning ``B`` also recomputes ``b_is_zero``.
+    ``Q``, ``A`` and ``B`` are read-only names for the order-0 entries, and
+    ``b_is_zero`` is fixed when the stack is built.
     """
 
     def __init__(self, Q: np.ndarray, A: np.ndarray, B: np.ndarray,
                  S: np.ndarray):
         self.dxQ = {0: Q}
         self.dxA = {0: A}
-        self.dxB = {}
-        self.dtB = {}
-        self.B = B
+        self.dxB = {0: B}
+        self.dtB = {0: B}
         self.S = S
+        self.b_is_zero = not np.asarray(B).any()
 
     @property
     def Q(self) -> np.ndarray:
         return self.dxQ[0]
 
-    @Q.setter
-    def Q(self, value: np.ndarray):
-        self.dxQ[0] = value
-
     @property
     def A(self) -> np.ndarray:
         return self.dxA[0]
 
-    @A.setter
-    def A(self, value: np.ndarray):
-        self.dxA[0] = value
-
     @property
     def B(self) -> np.ndarray:
         return self.dxB[0]
-
-    @B.setter
-    def B(self, value: np.ndarray):
-        self.dxB[0] = self.dtB[0] = value
-        self.b_is_zero = not np.asarray(value).any()
 
 
 def matrix_d(l: int, k: int, stack: NodeDerivativeStack) -> np.ndarray:
@@ -213,30 +199,23 @@ def m_vector(k: int, stack: NodeDerivativeStack, C: dict,
     return out
 
 
-def taylor_terms(stack: NodeDerivativeStack, C: dict, M: int
-                 ) -> tuple[dict, dict]:
-    """Time derivatives split as dtQ[k] = explicit[k] + B**(k-1) S.
+def taylor_terms(stack: NodeDerivativeStack, C: dict, M: int) -> dict:
+    """Time derivatives dtQ[k], keyed by order 1..M.
 
     ``dtQ[1] = M_1 + S`` (the source is ``stack.S``) and
     ``dtQ[k] = M_k + B dtQ[k-1]``, computed in increasing k so that M_k can
-    read the lower-order time derivatives.  The explicit parts follow the
-    same recursion, ``E_k = M_k + B E_{k-1}``, so ``E_k = sum_r B**(k-r) M_r``.
-    Returns ``(dtq, explicit)``, both keyed by order 1..M.
+    read the lower-order time derivatives.
     """
     dtq: dict = {}
-    expl: dict = {}
     for k in range(1, M + 1):
         mk = m_vector(k, stack, C, dtq)
         if k == 1:
             dtq[1] = mk + stack.S
-            expl[1] = mk
         elif stack.b_is_zero:
             dtq[k] = mk
-            expl[k] = mk
         else:
             dtq[k] = mk + _matvec(stack.B, dtq[k - 1])
-            expl[k] = mk + _matvec(stack.B, expl[k - 1])
-    return dtq, expl
+    return dtq
 
 
 def leibniz_expand(l: int, a_derivs, b_derivs) -> np.ndarray:

@@ -140,33 +140,32 @@ def populate_stacks(system: HyperbolicSystem, Q: np.ndarray,
 
 def residual_and_jacobian(stack: NodeDerivativeStack, C: dict,
                           W_nodal: np.ndarray, tau_phys: np.ndarray, M: int):
-    """Algebraic system H and its Jacobian J at the current iterate.
+    """Algebraic system H and its Jacobian J at the iterate Y = stack.Q.
 
-    H(Y) = Y - W + sum_k c_k [explicit part of G(k)] + sum_k c_k B**(k-1) S(Y)
-    with c_k = (-tau)^k / k!, evaluated at Y = stack.Q;
-    J = I + sum_k c_k B**(k-1) B(Y).
+    H(Y) = Y - W + sum_k c_k dtQ[k], with c_k = (-tau)^k / k! and dtQ[k] the
+    time derivatives of :func:`taylor_terms`, summed in increasing k.  Only
+    the source part B**(k-1) S(Y) of dtQ[k] is kept implicit, so
+    J = I + (sum_k c_k B**(k-1)) B(Y).  Where B vanishes J = I, and None is
+    returned in its place.
     """
-    eye = np.eye(W_nodal.shape[0])[:, :, None, None, None]
-    _, explicit = taylor_terms(stack, C, M)
+    dtq = taylor_terms(stack, C, M)
+    # on the trailing (n_T, cells) axes of vectors and matrices alike
+    coeffs = [((-tau_phys) ** k / math.factorial(k))[:, None]
+              for k in range(1, M + 1)]
     h = stack.Q - W_nodal[:, :, None]
-    source_free = stack.b_is_zero and not stack.S.any()
-    b_pow = None if source_free else np.broadcast_to(eye, stack.B.shape)
-    implicit_weight = None
-    for k in range(1, M + 1):
-        # on the trailing (n_T, cells) axes of vectors and matrices alike
-        ck = ((-tau_phys) ** k / math.factorial(k))[:, None]
-        h = h + ck * explicit[k]
-        if source_free:
-            continue
+    for k, ck in enumerate(coeffs, 1):
+        h = h + ck * dtq[k]
+    if stack.b_is_zero:
+        return h, None
+    eye = np.eye(W_nodal.shape[0])[:, :, None, None, None]
+    b_pow = np.broadcast_to(eye, stack.B.shape)
+    weight = None
+    for k, ck in enumerate(coeffs, 1):
         contrib = ck * b_pow
-        implicit_weight = contrib if implicit_weight is None else implicit_weight + contrib
+        weight = contrib if weight is None else weight + contrib
         if k < M:
             b_pow = _matmul(b_pow, stack.B)
-    if source_free:
-        return h, None
-    h = h + _matvec(implicit_weight, stack.S)
-    jac = eye + _matmul(implicit_weight, stack.B)
-    return h, jac
+    return h, eye + _matmul(weight, stack.B)
 
 
 def newton_sweep(stack: NodeDerivativeStack, C: dict,
@@ -182,7 +181,7 @@ def newton_sweep(stack: NodeDerivativeStack, C: dict,
     h, jac = residual_and_jacobian(stack, C, W_nodal, tau_phys, grid.M)
     # max over the components and nodes, which lead the cells
     cell_res = np.abs(h).reshape(-1, h.shape[CELL_AXIS]).max(0)
-    if jac is None:   # source-free: the system is affine with unit Jacobian
+    if jac is None:   # B = 0: the system is affine with unit Jacobian
         return stack.Q - h, cell_res
     try:
         delta = _solve(jac, h)

@@ -251,7 +251,7 @@ def test_criterion_6_ck_coefficient_suite():
         stack.dxB[l] = np.zeros((2, 2) + shape)
         stack.dtB[l] = np.zeros((2, 2) + shape)
     C = matrix_c(stack, 4, grid)
-    dtq, _ = taylor_terms(stack, C, 4)
+    dtq = taylor_terms(stack, C, 4)
     worst = 0.0
     for k in range(1, 5):
         want = sum(binom(k, j) * beta ** (k - j)

@@ -1,4 +1,6 @@
 """Cauchy-Kowalewskaya recursion: tables, identities and oracles."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from aderfv.ck import (NodeDerivativeStack, _det, _matmul, _matvec, _solve,
                        binom, leibniz_expand, m_vector, matrix_c, matrix_d,
                        pascal_coeffs, taylor_terms)
 from aderfv.nodes import build_grid
+from aderfv.predictor import residual_and_jacobian
 
 RNG = np.random.default_rng(7)
 
@@ -97,23 +100,6 @@ def test_matrix_d_rejects_bad_indices():
         matrix_d(1, 1, stack)
     with pytest.raises(ValueError):
         matrix_d(3, 4, stack)
-
-
-def test_stack_assignment_reaches_order_zero():
-    """Assigning Q, A or B after construction updates the order-0 entries
-    the recursion reads, and B also ``b_is_zero``."""
-    s = NodeDerivativeStack(Q=np.zeros(1), A=np.eye(1), B=np.zeros((1, 1)),
-                            S=np.zeros(1))
-    s.A = 2 * np.eye(1)
-    assert np.array_equal(matrix_d(2, 2, s), [[-2.0]])
-    s.Q = np.ones(1)
-    assert s.dxQ[0] is s.Q
-    assert s.b_is_zero
-    s.B = 3 * np.eye(1)
-    assert not s.b_is_zero
-    assert s.dxB[0] is s.dtB[0] is s.B
-    s.dxA[1] = np.zeros((1, 1))
-    assert np.array_equal(matrix_d(2, 1, s), [[3.0]])    # B - Ax
 
 
 def zero_probe(m, max_order):
@@ -281,7 +267,7 @@ def test_time_derivatives_match_conventional_ck_for_frozen_jacobians(k):
     B = rng.standard_normal((m, m))
     grid, stack = constant_grid_stack(A, B, M=4, seed=12)
     C = matrix_c(stack, 4, grid)
-    dtq, _ = taylor_terms(stack, C, 4)
+    dtq = taylor_terms(stack, C, 4)
     P, R = conventional_ck_constant(A, B, k)
     want = np.tensordot(R, stack.S, axes=1)
     for l, mat in P.items():
@@ -290,21 +276,54 @@ def test_time_derivatives_match_conventional_ck_for_frozen_jacobians(k):
     assert err < 1e-8 * max(1.0, np.max(np.abs(want)))
 
 
-def test_time_derivatives_binomial_oracle_linear_system():
-    """Constant A, B = beta*I: dt^k Q = sum_j C(k,j) beta^(k-j) (-A d/dx)^j Q."""
+def binomial_oracle(A, beta, dxq, k):
+    """dt^k Q = sum_j C(k,j) beta^(k-j) (-A d/dx)^j Q for constant A and
+    B = beta*I, S = beta*Q (the linear wave/relaxation system)."""
+    want = 0.0
+    for j in range(0, k + 1):
+        mat = binom(k, j) * beta ** (k - j) * np.linalg.matrix_power(-A, j)
+        want = want + np.tensordot(mat, dxq[j], axes=1)
+    return want
+
+
+def linear_relaxation_stack(M, seed):
     lam, beta = 1.0, -1.0
     A = np.array([[0.0, lam], [lam, 0.0]])
-    grid, stack = constant_grid_stack(A, beta * np.eye(2), M=4, seed=13)
+    grid, stack = constant_grid_stack(A, beta * np.eye(2), M=M, seed=seed)
     stack.S = beta * stack.Q    # source consistent with B = beta*I
+    return A, beta, grid, stack
+
+
+def test_time_derivatives_binomial_oracle_linear_system():
+    A, beta, grid, stack = linear_relaxation_stack(M=4, seed=13)
     C = matrix_c(stack, 4, grid)
-    dtq, _ = taylor_terms(stack, C, 4)
+    dtq = taylor_terms(stack, C, 4)
     for k in range(1, 5):
-        want = 0.0
-        for j in range(0, k + 1):
-            mat = binom(k, j) * beta ** (k - j) * np.linalg.matrix_power(-A, j)
-            want = want + np.tensordot(mat, stack.dxQ[j], axes=1)
+        want = binomial_oracle(A, beta, stack.dxQ, k)
         rel = np.max(np.abs(dtq[k] - want)) / max(1.0, np.max(np.abs(want)))
         assert rel < 1e-8
+
+
+def test_residual_is_taylor_sum_of_binomial_oracle():
+    """At B = beta*I != 0 the predictor residual is H = Q - W + sum_k c_k
+    dtQ[k] with the oracle's dtQ[k], and J = (1 + sum_k c_k beta^k) I,
+    c_k = (-tau)^k / k!."""
+    M = 4
+    A, beta, grid, stack = linear_relaxation_stack(M=M, seed=29)
+    C = matrix_c(stack, M, grid)
+    w = np.random.default_rng(30).standard_normal((2, grid.n_space, 1))
+    tau = grid.tau * grid.dt
+    h, jac = residual_and_jacobian(stack, C, w, tau, M)
+    want_h = stack.Q - w[:, :, None]
+    weight = 1.0
+    for k in range(1, M + 1):
+        ck = ((-tau) ** k / math.factorial(k))[:, None]
+        want_h = want_h + ck * binomial_oracle(A, beta, stack.dxQ, k)
+        weight = weight + ck * beta ** k
+    rel = np.max(np.abs(h - want_h)) / max(1.0, np.max(np.abs(want_h)))
+    assert rel < 1e-8
+    want_jac = np.eye(2)[:, :, None, None, None] * weight
+    assert np.allclose(jac, want_jac, rtol=1e-13, atol=1e-15)
 
 
 def test_time_derivatives_zero_at_equilibrium():
@@ -314,7 +333,7 @@ def test_time_derivatives_zero_at_equilibrium():
         stack.dxQ[l] = np.zeros_like(stack.dxQ[l])
     stack.S = np.zeros_like(stack.S)
     C = matrix_c(stack, 3, grid)
-    for d in taylor_terms(stack, C, 3)[0].values():
+    for d in taylor_terms(stack, C, 3).values():
         assert np.allclose(d, 0.0, atol=1e-14)
 
 
@@ -369,23 +388,8 @@ def test_second_time_derivative_fd_oracle_on_exact_solution():
     stack.dxQ[2] = on_nodes(dx_exact(x0, t0, 2), shape)
     stack.dxA[1] = np.zeros((2, 2) + shape)
     C = matrix_c(stack, 2, grid)
-    dtq, _ = taylor_terms(stack, C, 2)
+    dtq = taylor_terms(stack, C, 2)
     assert np.max(np.abs(dtq[2][:, 0, 0, 0] - fd)) < 1e-5
-
-
-def test_taylor_terms_split_explicit_plus_source_power():
-    """dtQ[k] = explicit[k] + B^(k-1) S."""
-    m = 2
-    rng = np.random.default_rng(23)
-    grid, stack = constant_grid_stack(rng.standard_normal((m, m)),
-                                      rng.standard_normal((m, m)), M=4,
-                                      seed=24)
-    C = matrix_c(stack, 4, grid)
-    dtq, explicit = taylor_terms(stack, C, 4)
-    for k in range(1, 5):
-        b_pow = np.linalg.matrix_power(stack.B[:, :, 0, 0, 0], k - 1)
-        want = explicit[k] + np.tensordot(b_pow, stack.S, axes=1)
-        assert np.allclose(dtq[k], want, atol=1e-12)
 
 
 def test_ck_coefficients_bounds():

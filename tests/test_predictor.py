@@ -183,12 +183,12 @@ def test_newton_sweep_source_free_is_explicit_taylor():
     stack = populate_stacks(system, q, grid)
     C = matrix_c(stack, 2, grid)
     q_new, res = newton_sweep(stack, C, w, grid)
-    _, explicit = taylor_terms(stack, C, 2)
+    dtq = taylor_terms(stack, C, 2)
     tau = grid.tau * grid.dt
     want = np.broadcast_to(w[:, :, None], q.shape).astype(float).copy()
     for k in (1, 2):
         ck = ((-tau) ** k / math.factorial(k))[:, None]
-        want = want - ck * explicit[k]
+        want = want - ck * dtq[k]
     assert np.max(np.abs(q_new - want)) < 1e-13
 
 
@@ -244,11 +244,11 @@ def test_predictor_source_free_equals_explicit_taylor_pipeline():
     for _ in range(2):
         stack = populate_stacks(system, q, grid)
         C = matrix_c(stack, 2, grid)
-        _, explicit = taylor_terms(stack, C, 2)
+        dtq = taylor_terms(stack, C, 2)
         q_next = np.broadcast_to(w_nodal[:, :, None], q.shape).astype(float).copy()
         for k in (1, 2):
             ck = ((-tau) ** k / math.factorial(k))[:, None]
-            q_next = q_next - ck * explicit[k]
+            q_next = q_next - ck * dtq[k]
         q = q_next
     assert np.max(np.abs(q_solved - q)) < 1e-12
 
