@@ -48,7 +48,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--beta", type=float, help="source coefficient override")
     p.add_argument("--bc", choices=("periodic", "transmissive"),
                    help="boundary rule override")
-    p.add_argument("--out", default="aderfv-out", help="output directory")
+    p.add_argument("--out", help="output directory (default aderfv-out)")
     p.add_argument("--config", help="JSON file with the same keys as the flags")
 
 
@@ -79,11 +79,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _merge_config(parser: argparse.ArgumentParser,
+                  args: argparse.Namespace) -> dict:
+    """The config file's options with the explicit flags over them.
+
+    A config value is parsed as its flag's argument (``"cells": "64"`` reads
+    as ``--cells 64``), and a key the subcommand does not take raises
+    ValueError.
+    """
     merged: dict = {}
     if args.config:
         with open(args.config) as fh:
-            merged.update(json.load(fh))
+            loaded = json.load(fh)
+        options = vars(args).keys() - {"command", "config"}
+        unknown = sorted(loaded.keys() - options)
+        if unknown:
+            raise ValueError(f"config keys {unknown} are not options of "
+                             f"{args.command}")
+        argv = [f"--{key}" if value is True else f"--{key}={value}"
+                for key, value in loaded.items() if value is not False]
+        parsed = vars(parser.parse_args([args.command] + argv))
+        merged.update((key, parsed[key]) for key in loaded)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None or value is False:
             continue
@@ -92,8 +108,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    opts = _merge_config(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        opts = _merge_config(parser, args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     system = opts.pop("system", None)
     if system is None:
         print("error: --system is required (flag or config file)", file=sys.stderr)
@@ -105,9 +126,8 @@ def main(argv=None) -> int:
             print("error: converge needs --orders and --meshes", file=sys.stderr)
             return 2
         try:
-            opts["orders"] = _parse_int_list(str(opts["orders"]))
-            opts["meshes"] = _parse_int_list(str(opts["meshes"]),
-                                             doubling=True)
+            opts["orders"] = _parse_int_list(opts["orders"])
+            opts["meshes"] = _parse_int_list(opts["meshes"], doubling=True)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

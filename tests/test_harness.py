@@ -241,7 +241,7 @@ def test_cli_error_paths(tmp_path, capsys):
 
 def test_cli_converge_rejects_verbose(tmp_path, capsys):
     """--verbose is a solve option: converge refuses it as a flag (usage
-    error, exit 2) and from a config file (exit 1 with the message)."""
+    error, exit 2) and from a config file (one ``error:`` line, exit 2)."""
     args = ["converge", "--system", "linear", "--orders", "2",
             "--meshes", "8,16", "--tout", "0.05", "--out", str(tmp_path)]
     with pytest.raises(SystemExit) as exc:
@@ -250,9 +250,38 @@ def test_cli_converge_rejects_verbose(tmp_path, capsys):
     assert "--verbose" in capsys.readouterr().err
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"verbose": True}))
-    assert cli_main(args + ["--config", str(path)]) == 1
-    assert "verbose" in capsys.readouterr().err
+    assert cli_main(args + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "verbose" in err
     assert not (tmp_path / "convergence_order2.csv").exists()
+
+
+@pytest.mark.parametrize("cfg", [{"orders": [2], "meshes": [8, 16]},
+                                 {"orders": "2..3", "meshes": "8,16"}])
+def test_cli_config_rejects_keys_of_other_subcommand(tmp_path, capsys, cfg):
+    """Config keys that ``solve`` does not take stop it with one ``error:``
+    line and exit 2, before any study runs."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"system": "linear", **cfg}))
+    out_dir = tmp_path / "out"
+    assert cli_main(["solve", "--config", str(path),
+                     "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "meshes" in err and "orders" in err
+    assert not out_dir.exists()
+
+
+def test_cli_config_values_parse_as_flags(tmp_path):
+    """A config value is parsed as its flag's argument: "cells": "64" runs
+    like --cells 64, and a config "out" is where the files go."""
+    out_dir = tmp_path / "out"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"system": "linear", "cells": "64",
+                                "tout": "0.01", "out": str(out_dir)}))
+    assert cli_main(["solve", "--config", str(path)]) == 0
+    assert np.loadtxt(out_dir / "solution.dat").shape == (64, 3)
 
 
 def test_cli_meshes_doubling_range(tmp_path, capsys):
