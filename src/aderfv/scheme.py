@@ -304,7 +304,13 @@ def step(field: CellField, config: RunConfig, dt: float):
 
     Returns the updated field and the step's predictor trace: the residual
     per sweep and the number of unverified cells (see ``StepStats``).
+
+    The first call sets the process-wide allocator policy of
+    :func:`_keep_heap`: freed heap up to 128 MiB is kept for reuse, so the
+    memory a process holds after a run does not shrink back (peak memory is
+    unchanged).
     """
+    _keep_heap()
     grid = build_grid(config.M, field.dx, dt)
     q_nodal, residuals, unverified = nodal_solution(field, config, grid)
 
@@ -386,14 +392,9 @@ def run(config: RunConfig) -> RunResult:
 
     The final step is clipped to land exactly on t_out.  The result keeps a
     ``StepStats`` record per step.  A ``PredictorError`` names the step
-    (counted from 1) and the mesh cell.
-
-    The first call sets the allocator policy of :func:`_keep_heap` for the
-    whole process, not just for the run: freed heap up to 128 MiB is kept
-    for reuse instead of being returned to the OS, so the memory a process
-    holds after a run does not shrink back.  Peak memory is unchanged.
+    (counted from 1) and the mesh cell.  Its first step sets the
+    process-wide allocator policy (see :func:`step`).
     """
-    _keep_heap()
     field_now = project_initial(config.initial, config.n_cells, config.x_left,
                                 config.dx, config.boundary)
     t = 0.0

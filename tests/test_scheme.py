@@ -351,6 +351,18 @@ def test_warm_run_keeps_heap_mapped():
     assert faults / result.n_steps < 20
 
 
+def test_bare_step_sets_heap_policy(monkeypatch):
+    """A ``step`` called without ``run`` around it sets the allocator
+    policy too, so direct callers measure what a run measures."""
+    calls = []
+    monkeypatch.setattr(scheme, "_keep_heap", lambda: calls.append(None))
+    system = linear_system(1.0, -1.0)
+    cfg = make_config(system, lambda x: system.exact_solution(x, 0.0), 2, 8)
+    field = project_initial(cfg.initial, 8, 0.0, cfg.dx)
+    step(field, cfg, 0.01)
+    assert calls
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="needs glibc mallopt and getrusage")
 def test_warm_threaded_run_starts_no_threads():
