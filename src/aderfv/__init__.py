@@ -8,8 +8,7 @@ from .ck import (NodeDerivativeStack, binom, leibniz_expand, m_vector,
                  matrix_c, matrix_d, pascal_coeffs, taylor_terms)
 from .harness import (ConvergenceReport, MeshResult, PresetCase, build_config,
                       convergence_study, empirical_orders, error_norms,
-                      field_interpolant, make_case, run_preset,
-                      shu_osher_reference)
+                      field_interpolant, make_case, shu_osher_reference)
 from .nodes import (NodeGrid, build_grid, gauss_legendre, newton_cotes_weights,
                     space_derivative, time_derivative)
 from .predictor import (PredictorConfig, PredictorError, initial_guess,

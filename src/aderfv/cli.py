@@ -14,8 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
-from .harness import PRESET_NAMES, run_preset
+import numpy as np
+
+from .harness import (PRESET_NAMES, build_config, convergence_study,
+                      field_interpolant, make_case, shu_osher_reference)
+from .scheme import run
+
+ORDERS = (2, 3, 4, 5)
 
 
 def _parse_int_list(text: str, doubling: bool = False):
@@ -48,7 +55,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--beta", type=float, help="source coefficient override")
     p.add_argument("--bc", choices=("periodic", "transmissive"),
                    help="boundary rule override")
-    p.add_argument("--out", help="output directory (default aderfv-out)")
+    p.add_argument("--out", default="aderfv-out",
+                   help="output directory (default aderfv-out)")
     p.add_argument("--config", help="JSON file with the same keys as the flags")
 
 
@@ -61,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="single run, writes the solution profile")
     _add_common(solve)
-    solve.add_argument("--order", type=int, choices=(2, 3, 4, 5),
+    solve.add_argument("--order", type=int, choices=ORDERS, default=2,
                        help="scheme order of accuracy")
     solve.add_argument("--cells", type=int, help="number of cells")
     solve.add_argument("--verbose", action="store_true",
@@ -79,60 +87,91 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(parser: argparse.ArgumentParser,
-                  args: argparse.Namespace) -> dict:
-    """The config file's options with the explicit flags over them.
+def _config_flags(args: argparse.Namespace) -> list:
+    """The config file's options written as flags (``"cells": 64`` gives
+    ``--cells=64``); a key that is not an option of the subcommand raises
+    ValueError."""
+    with open(args.config) as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"config file {args.config} does not hold a JSON "
+                         "object")
+    unknown = sorted(loaded.keys() - (vars(args).keys() - {"command", "config"}))
+    if unknown:
+        raise ValueError(f"config keys {unknown} are not options of "
+                         f"{args.command}")
+    return [f"--{key}" if value is True else f"--{key}={value}"
+            for key, value in loaded.items() if value is not False]
 
-    A config value is parsed as its flag's argument (``"cells": "64"`` reads
-    as ``--cells 64``), and a key the subcommand does not take raises
-    ValueError.
-    """
-    merged: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        options = vars(args).keys() - {"command", "config"}
-        unknown = sorted(loaded.keys() - options)
-        if unknown:
-            raise ValueError(f"config keys {unknown} are not options of "
-                             f"{args.command}")
-        argv = [f"--{key}" if value is True else f"--{key}={value}"
-                for key, value in loaded.items() if value is not False]
-        parsed = vars(parser.parse_args([args.command] + argv))
-        merged.update((key, parsed[key]) for key in loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None or value is False:
-            continue
-        merged[key] = value
-    return merged
+
+def _write_profile(path: Path, x: np.ndarray, values: np.ndarray):
+    data = np.column_stack([x, np.atleast_2d(values)])
+    np.savetxt(path, data, fmt="%.10e")
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _merge_config(parser, args)
-    except ValueError as exc:
+        if args.config:
+            # config options first: argparse keeps the last value given, so
+            # an explicit flag wins, and each value is parsed by its flag
+            args = parser.parse_args([args.command, *_config_flags(args),
+                                      *argv[1:]])
+        if args.system is None:
+            raise ValueError("--system is required (flag or config file)")
+        if args.command == "converge":
+            if args.orders is None or args.meshes is None:
+                raise ValueError("converge needs --orders and --meshes")
+            orders = _parse_int_list(args.orders)
+            meshes = _parse_int_list(args.meshes, doubling=True)
+            for k in orders:
+                if k not in ORDERS:
+                    raise ValueError(f"unsupported order {k} (orders 2..5)")
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    system = opts.pop("system", None)
-    if system is None:
-        print("error: --system is required (flag or config file)", file=sys.stderr)
-        return 2
-    out_dir = opts.pop("out", "aderfv-out")
 
-    if args.command == "converge":
-        if "orders" not in opts or "meshes" not in opts:
-            print("error: converge needs --orders and --meshes", file=sys.stderr)
-            return 2
-        try:
-            opts["orders"] = _parse_int_list(opts["orders"])
-            opts["meshes"] = _parse_int_list(opts["meshes"], doubling=True)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    case = make_case(args.system, beta=args.beta)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts: dict = {}
     try:
-        artifacts = run_preset(system, opts, out_dir=out_dir)
+        if args.command == "converge":
+            exact = case.exact
+            if exact is None:
+                exact = field_interpolant(shu_osher_reference(), M=2)
+            for k in orders:
+                report = convergence_study(case, k, meshes, cfl=args.cfl,
+                                           t_out=args.tout, boundary=args.bc,
+                                           exact=exact)
+                txt = out / f"convergence_order{k}.txt"
+                txt.write_text(report.format_table())
+                csv = out / f"convergence_order{k}.csv"
+                csv.write_text("\n".join(report.csv_lines()) + "\n")
+                artifacts[f"table_order{k}"] = txt
+                artifacts[f"csv_order{k}"] = csv
+        else:
+            result = run(build_config(case, order=args.order, cells=args.cells,
+                                      cfl=args.cfl, t_out=args.tout,
+                                      boundary=args.bc))
+            if args.verbose:
+                for rec in result.steps:
+                    sys.stderr.write(f"{rec.t:.8e} {rec.dt:.8e} {rec.lam:.8e}\n")
+            centers = result.field.cell_centers()
+            artifacts["solution"] = out / "solution.dat"
+            _write_profile(artifacts["solution"], centers,
+                           result.field.averages)
+            if case.exact is not None:
+                artifacts["exact"] = out / "exact.dat"
+                _write_profile(artifacts["exact"], centers,
+                               np.asarray(case.exact(centers, result.t_final)))
+            if case.name == "shu-osher":
+                ref_field = shu_osher_reference()
+                artifacts["reference"] = out / "reference.dat"
+                _write_profile(artifacts["reference"],
+                               ref_field.cell_centers(), ref_field.averages)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

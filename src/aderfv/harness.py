@@ -1,4 +1,4 @@
-"""Error norms, convergence studies, benchmark presets and file output.
+"""Error norms, convergence studies and benchmark presets.
 
 Errors compare the WENO reconstruction of the final cell averages against
 the exact (or reference) solution, integrating cell-wise with a 5-point
@@ -10,9 +10,7 @@ log2 ratios of errors between consecutive meshes of ratio 2.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -236,7 +234,7 @@ def shu_osher_reference(cells: int = 2000, order: int = 3) -> CellField:
 
 
 # ----------------------------------------------------------------------------
-# convergence studies and artifacts
+# convergence studies
 # ----------------------------------------------------------------------------
 
 def convergence_study(case: PresetCase, order: int, meshes,
@@ -261,82 +259,3 @@ def convergence_study(case: PresetCase, order: int, meshes,
         report.rows.append(MeshResult(n_cells=n_cells, linf=linf, l1=l1,
                                       l2=l2, cpu_seconds=result.seconds))
     return empirical_orders(report)
-
-
-def _write_profile(path: Path, x: np.ndarray, values: np.ndarray):
-    data = np.column_stack([x, np.atleast_2d(values)])
-    np.savetxt(path, data, fmt="%.10e")
-
-
-def run_preset(name: str, overrides: Optional[dict] = None,
-               out_dir: str | Path = "aderfv-out") -> dict:
-    """Run a named preset and write its artifacts to disk.
-
-    With ``orders``/``meshes`` overrides a convergence campaign is run and
-    tables are written (aligned text plus CSV per order); otherwise a single
-    solve writes the solution profile (plus the exact profile when known,
-    and the fine-mesh reference for shu-osher) and, under ``verbose``,
-    writes a line ``t dt lambda_abs`` per step to stderr once the run has
-    returned.  ``verbose`` with ``orders``/``meshes`` raises ValueError.
-    Returns the written paths.
-    """
-    overrides = dict(overrides or {})
-    if name not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    case = make_case(name, beta=overrides.pop("beta", None))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts: dict = {}
-
-    cfl = overrides.pop("cfl", None)
-    t_out = overrides.pop("tout", None)
-    boundary = overrides.pop("bc", None)
-    verbose = overrides.pop("verbose", False)
-    orders = overrides.pop("orders", None)
-    meshes = overrides.pop("meshes", None)
-    order = overrides.pop("order", None)
-    cells = overrides.pop("cells", None)
-    if overrides:
-        raise ValueError(f"unknown overrides: {sorted(overrides)}")
-
-    if orders is not None or meshes is not None:
-        if orders is None or meshes is None:
-            raise ValueError("convergence mode needs both orders and meshes")
-        if verbose:
-            raise ValueError("verbose prints the steps of a single solve; "
-                             "it does not apply to a convergence study")
-        exact_fn = case.exact
-        if exact_fn is None:
-            exact_fn = field_interpolant(shu_osher_reference(), M=2)
-        for k in orders:
-            report = convergence_study(case, k, meshes, cfl=cfl, t_out=t_out,
-                                       boundary=boundary, exact=exact_fn)
-            txt = out / f"convergence_order{k}.txt"
-            txt.write_text(report.format_table())
-            csv = out / f"convergence_order{k}.csv"
-            csv.write_text("\n".join(report.csv_lines()) + "\n")
-            artifacts[f"table_order{k}"] = txt
-            artifacts[f"csv_order{k}"] = csv
-        return artifacts
-
-    config = build_config(case, order=2 if order is None else order,
-                          cells=cells, cfl=cfl, t_out=t_out,
-                          boundary=boundary)
-    result = run(config)
-    if verbose:
-        for rec in result.steps:
-            sys.stderr.write(f"{rec.t:.8e} {rec.dt:.8e} {rec.lam:.8e}\n")
-    sol = out / "solution.dat"
-    _write_profile(sol, result.field.cell_centers(), result.field.averages)
-    artifacts["solution"] = sol
-    if case.exact is not None:
-        centers = result.field.cell_centers()
-        ex = out / "exact.dat"
-        _write_profile(ex, centers, np.asarray(case.exact(centers, result.t_final)))
-        artifacts["exact"] = ex
-    if name == "shu-osher":
-        ref_field = shu_osher_reference()
-        ref = out / "reference.dat"
-        _write_profile(ref, ref_field.cell_centers(), ref_field.averages)
-        artifacts["reference"] = ref
-    return artifacts

@@ -7,7 +7,7 @@ import pytest
 from aderfv.cli import main as cli_main
 from aderfv.harness import (ConvergenceReport, MeshResult, build_config,
                             convergence_study, empirical_orders, error_norms,
-                            field_interpolant, make_case, run_preset)
+                            field_interpolant, make_case)
 from aderfv.scheme import project_initial
 from aderfv.systems import linear_system
 
@@ -130,35 +130,6 @@ def test_field_interpolant_reproduces_reconstruction():
     want = system.exact_solution(x, 0.0)
     assert np.max(np.abs(got - want)) < 1e-4
     assert interp(np.array([[0.1, 0.2], [0.3, 0.4]])).shape == (2, 2, 2)
-
-
-def test_run_preset_solve_artifacts(tmp_path):
-    arts = run_preset("linear", {"order": 2, "cells": 16, "tout": 0.05},
-                      out_dir=tmp_path)
-    sol = np.loadtxt(arts["solution"])
-    assert sol.shape == (16, 3)
-    exact = np.loadtxt(arts["exact"])
-    assert exact.shape == (16, 3)
-    assert np.max(np.abs(sol - exact)) < 0.05
-
-
-def test_run_preset_convergence_artifacts(tmp_path):
-    arts = run_preset("linear",
-                      {"orders": [2], "meshes": [8, 16], "tout": 0.1},
-                      out_dir=tmp_path)
-    table = arts["table_order2"].read_text()
-    assert "Theoretical order : 2" in table
-    csv = arts["csv_order2"].read_text().strip().splitlines()
-    assert len(csv) == 3
-
-
-def test_run_preset_rejects_unknown_inputs(tmp_path):
-    with pytest.raises(ValueError):
-        run_preset("unknown", {}, out_dir=tmp_path)
-    with pytest.raises(ValueError):
-        run_preset("linear", {"bogus": 1}, out_dir=tmp_path)
-    with pytest.raises(ValueError):
-        run_preset("linear", {"orders": [2]}, out_dir=tmp_path)
 
 
 def test_convergence_tables_deterministic_across_thread_counts(monkeypatch):
@@ -304,3 +275,135 @@ def test_cli_meshes_doubling_range(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_solve_artifacts(tmp_path):
+    """solve writes the run's averages and the exact profile on its cell
+    centres, one row per cell."""
+    assert cli_main(["solve", "--system", "linear", "--order", "2",
+                     "--cells", "16", "--tout", "0.05",
+                     "--out", str(tmp_path)]) == 0
+    sol = np.loadtxt(tmp_path / "solution.dat")
+    assert sol.shape == (16, 3)
+    exact = np.loadtxt(tmp_path / "exact.dat")
+    assert exact.shape == (16, 3)
+    assert np.max(np.abs(sol - exact)) < 0.05
+    assert not (tmp_path / "reference.dat").exists()
+
+
+def test_cli_converge_artifacts(tmp_path):
+    assert cli_main(["converge", "--system", "linear", "--orders", "2",
+                     "--meshes", "8,16", "--tout", "0.1",
+                     "--out", str(tmp_path)]) == 0
+    table = (tmp_path / "convergence_order2.txt").read_text()
+    assert "Theoretical order : 2" in table
+    csv = (tmp_path / "convergence_order2.csv").read_text().strip().splitlines()
+    assert len(csv) == 3
+
+
+def test_cli_converge_csv_matches_convergence_study(tmp_path):
+    """The CLI's CSV, without its CPU column, is the study's own table."""
+    assert cli_main(["converge", "--system", "linear", "--orders", "3",
+                     "--meshes", "8..32", "--tout", "0.1", "--cfl", "0.5",
+                     "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "convergence_order3.csv").read_text().splitlines()
+    assert rows[0].endswith(",cpu_seconds")
+    got = [row.rsplit(",", 1)[0] for row in rows]
+    want = convergence_study(make_case("linear"), 3, [8, 16, 32], cfl=0.5,
+                             t_out=0.1).csv_lines(with_cpu=False)
+    assert got == want
+
+
+def test_cli_rejects_unknown_inputs(tmp_path, capsys):
+    """converge without --meshes is an ``error:`` line with exit 2, and an
+    unknown preset is a usage error; neither makes the output directory."""
+    out_dir = tmp_path / "out"
+    assert cli_main(["converge", "--system", "linear", "--orders", "2",
+                     "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["solve", "--system", "unknown", "--out", str(out_dir)])
+    assert exc.value.code == 2
+    assert "--system" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("orders, bad", [("2,6", 6), ("1", 1), ("1..3", 1)])
+def test_cli_converge_rejects_unsupported_orders(tmp_path, capsys, orders,
+                                                 bad):
+    """An order outside 2..5 is refused before any study runs: one
+    ``error:`` line naming it, exit 2, and no output directory."""
+    out_dir = tmp_path / "out"
+    assert cli_main(["converge", "--system", "linear", "--orders", orders,
+                     "--meshes", "8,16", "--tout", "0.05",
+                     "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"order {bad}" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1]", None])
+def test_cli_config_unreadable(tmp_path, capsys, text):
+    """A config file that is not JSON, holds no JSON object or is missing
+    gives one ``error:`` line with exit 2."""
+    path = tmp_path / "run.json"
+    if text is not None:
+        path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert cli_main(["solve", "--config", str(path),
+                     "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
+@pytest.fixture
+def small_shu_osher_reference(monkeypatch):
+    """Stand-in for the 2000-cell Shu-Osher reference: a 64-cell run to the
+    tests' output time, counting its calls."""
+    from aderfv import cli
+    from aderfv.scheme import run
+    calls = []
+
+    def reference():
+        calls.append(1)
+        return run(build_config(make_case("shu-osher"), order=3, cells=64,
+                                t_out=0.05)).field
+
+    monkeypatch.setattr(cli, "shu_osher_reference", reference)
+    return calls, reference
+
+
+def test_cli_solve_shu_osher_writes_reference(tmp_path,
+                                              small_shu_osher_reference):
+    calls, reference = small_shu_osher_reference
+    assert cli_main(["solve", "--system", "shu-osher", "--order", "2",
+                     "--cells", "16", "--tout", "0.05",
+                     "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert np.loadtxt(tmp_path / "solution.dat").shape == (16, 4)
+    assert not (tmp_path / "exact.dat").exists()
+    ref = np.loadtxt(tmp_path / "reference.dat")
+    field = reference()
+    np.testing.assert_allclose(ref[:, 0], field.cell_centers(), rtol=1e-9)
+    np.testing.assert_allclose(ref[:, 1:], field.averages, rtol=1e-9)
+
+
+def test_cli_converge_shu_osher_uses_reference(tmp_path,
+                                               small_shu_osher_reference):
+    """Without an exact solution, converge measures errors against the
+    reference run's third-order interpolant."""
+    calls, reference = small_shu_osher_reference
+    assert cli_main(["converge", "--system", "shu-osher", "--orders", "2..3",
+                     "--meshes", "16,32", "--tout", "0.05",
+                     "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    exact = field_interpolant(reference(), M=2)
+    for k in (2, 3):
+        rows = (tmp_path / f"convergence_order{k}.csv").read_text()
+        want = convergence_study(make_case("shu-osher"), k, [16, 32],
+                                 t_out=0.05,
+                                 exact=exact).csv_lines(with_cpu=False)
+        assert [row.rsplit(",", 1)[0] for row in rows.splitlines()] == want
