@@ -29,8 +29,8 @@ since it differentiates across the time nodes on ``nodes.TIME_AXIS``.
 All m x m algebra of the solver goes through the batched helpers
 ``_matvec``, ``_matmul``, ``_solve`` and ``_det``.  ``_matvec`` and
 ``_matmul`` sum the m products of contiguous component slabs,
-``mat[:, k] * vec[k]`` and ``a[:, k, None] * b[k]``, over all nodes at once;
-at m = 1 (scalar laws) each is one elementwise product.  ``_solve`` and
+``mat[:, k] * vec[k]`` and ``a[:, k, None] * b[k]``, over all nodes at once
+(at m = 1, scalar laws, the sum is its one product).  ``_solve`` and
 ``_det`` divide and take the entry at m = 1, and call ``np.linalg`` on the
 matrix axes moved last otherwise.
 """
@@ -68,8 +68,6 @@ def pascal_coeffs(l: int):
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Batched m x m matrix (m, m, ...) times m-vector (m, ...)."""
-    if mat.shape[0] == 1:
-        return mat[0] * vec
     out = mat[:, 0] * vec[0]
     for k in range(1, mat.shape[0]):
         out += mat[:, k] * vec[k]
@@ -78,8 +76,6 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched m x m matrix product of (m, m, ...) arrays."""
-    if a.shape[0] == 1:
-        return a * b
     out = a[:, 0, None] * b[0]
     for k in range(1, a.shape[0]):
         out += a[:, k, None] * b[k]

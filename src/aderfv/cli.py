@@ -28,8 +28,9 @@ ORDERS = (2, 3, 4, 5)
 def _parse_int_list(text: str, doubling: bool = False):
     """Parse "2,3,4", "2..5" (consecutive) or "8..128" (doubling meshes).
 
-    Raises ValueError on a non-integer entry, and on a doubling range that
-    does not start above zero (doubling would never pass its end).
+    Raises ValueError on a non-integer entry, on a doubling range that
+    does not start above zero (doubling would never pass its end), and on
+    a text that lists no entry ("5..2", ",").
     """
     text = text.strip()
     if ".." in text:
@@ -43,9 +44,13 @@ def _parse_int_list(text: str, doubling: bool = False):
             while n <= hi:
                 out.append(n)
                 n *= 2
-            return out
-        return list(range(lo, hi + 1))
-    return [int(p) for p in text.split(",") if p]
+        else:
+            out = list(range(lo, hi + 1))
+    else:
+        out = [int(p) for p in text.split(",") if p]
+    if not out:
+        raise ValueError(f"{text!r} lists no entry")
+    return out
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -121,19 +126,25 @@ def main(argv=None) -> int:
                                       *argv[1:]])
         if args.system is None:
             raise ValueError("--system is required (flag or config file)")
+        case = make_case(args.system, beta=args.beta)
+        run_args = dict(cfl=args.cfl, t_out=args.tout, boundary=args.bc)
         if args.command == "converge":
             if args.orders is None or args.meshes is None:
                 raise ValueError("converge needs --orders and --meshes")
             orders = _parse_int_list(args.orders)
             meshes = _parse_int_list(args.meshes, doubling=True)
-            for k in orders:
+            for k in orders:    # every run's input is checked before any runs
                 if k not in ORDERS:
                     raise ValueError(f"unsupported order {k} (orders 2..5)")
+                for n in meshes:
+                    build_config(case, order=k, cells=n, **run_args)
+        else:
+            config = build_config(case, order=args.order, cells=args.cells,
+                                  **run_args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    case = make_case(args.system, beta=args.beta)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict = {}
@@ -143,9 +154,8 @@ def main(argv=None) -> int:
             if exact is None:
                 exact = field_interpolant(shu_osher_reference(), M=2)
             for k in orders:
-                report = convergence_study(case, k, meshes, cfl=args.cfl,
-                                           t_out=args.tout, boundary=args.bc,
-                                           exact=exact)
+                report = convergence_study(case, k, meshes, exact=exact,
+                                           **run_args)
                 txt = out / f"convergence_order{k}.txt"
                 txt.write_text(report.format_table())
                 csv = out / f"convergence_order{k}.csv"
@@ -153,9 +163,7 @@ def main(argv=None) -> int:
                 artifacts[f"table_order{k}"] = txt
                 artifacts[f"csv_order{k}"] = csv
         else:
-            result = run(build_config(case, order=args.order, cells=args.cells,
-                                      cfl=args.cfl, t_out=args.tout,
-                                      boundary=args.bc))
+            result = run(config)
             if args.verbose:
                 for rec in result.steps:
                     sys.stderr.write(f"{rec.t:.8e} {rec.dt:.8e} {rec.lam:.8e}\n")

@@ -35,7 +35,7 @@ def error_norms(field_final: CellField, exact: Callable, M: int, t_end: float,
     """(Linf, L1, L2) of reconstruction minus exact at t_end, one component."""
     recon = reconstruct(field_final, M, weno_config)
     xi, w = gauss_legendre(5, -0.5, 0.5)
-    values = recon.evaluate(xi)[..., component].T     # (cells, points)
+    values = recon.evaluate(xi)[component].T     # (cells, points)
     xg = field_final.cell_centers()[:, None] + xi[None, :] * field_final.dx
     exact_vals = np.asarray(exact(xg, t_end))[..., component]
     err = np.abs(values - exact_vals)
@@ -201,8 +201,7 @@ def field_interpolant(field_final: CellField, M: int,
     Returns ``f(x, t=None) -> (..., m)``; used to turn a fine-mesh run into
     a reference solution for error measurement.
     """
-    recon = reconstruct(field_final, M, weno_config)
-    coeffs = recon.coeffs
+    coeffs = reconstruct(field_final, M, weno_config).coeffs.T   # (N, M+1, m)
     x_left, dx, n = field_final.x_left, field_final.dx, field_final.n_cells
 
     def evaluate(x, t=None):
@@ -212,7 +211,9 @@ def field_interpolant(field_final: CellField, M: int,
         idx = np.clip(np.floor(pos).astype(int), 0, n - 1)
         xi = pos - idx - 0.5
         basis = xi[:, None] ** np.arange(M + 1)
-        vals = np.einsum("pk,pkm->pm", basis, coeffs[idx])
+        # a C-contiguous (points, M+1, m) gather, which fixes einsum's
+        # order of summation for every m
+        vals = np.einsum("pk,pkm->pm", basis, np.take(coeffs, idx, axis=0))
         return vals.reshape(x.shape + (vals.shape[-1],))
 
     return evaluate

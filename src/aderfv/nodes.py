@@ -54,6 +54,15 @@ def _vandermonde(nodes: np.ndarray) -> np.ndarray:
     return nodes[:, None] ** np.arange(len(nodes))
 
 
+def monomial_derivatives(x: np.ndarray, degree: int, l: int) -> np.ndarray:
+    """l-th derivatives of the monomials x^k, k = 0..degree, at the points
+    x: shape (len(x), degree+1), with zero columns for k < l."""
+    basis = np.zeros((len(x), degree + 1))
+    for k in range(l, degree + 1):
+        basis[:, k] = math.perm(k, l) * x ** (k - l)
+    return basis
+
+
 def _derivative_matrices(nodes: np.ndarray) -> list[np.ndarray]:
     """Matrices D_l mapping nodal values to the l-th derivative at the nodes.
 
@@ -62,13 +71,7 @@ def _derivative_matrices(nodes: np.ndarray) -> list[np.ndarray]:
     """
     n = len(nodes)
     vinv = np.linalg.inv(_vandermonde(nodes))
-    mats = []
-    for l in range(n):
-        e = np.zeros((n, n))
-        for k in range(l, n):
-            e[:, k] = math.perm(k, l) * nodes ** (k - l)
-        mats.append(e @ vinv)
-    return mats
+    return [monomial_derivatives(nodes, n - 1, l) @ vinv for l in range(n)]
 
 
 @lru_cache(maxsize=None)

@@ -209,7 +209,9 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
     incoming residual meets the tolerance keeps its values and leaves (the
     exit is per cell, so results do not depend on which cells are solved
     together).  Writes each cell's values once into ``out``, shape
-    (m, n_S, n_T, n_cells) (default: a new array), and returns it; per sweep
+    (m, n_S, n_T, n_cells) (default: a new array): a cell that leaves in
+    the sweep it leaves, the cells still updating after sweep M with that
+    sweep's update.  Returns ``out``; per sweep
     the max-norm residual of the incoming iterate over the cells it
     evaluated (above ``residual_tol`` the max over all cells, since a cell
     that left holds a residual at or below it); and the number of cells
@@ -223,25 +225,21 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
         out = np.empty(W_nodal.shape[:2] + (grid.n_time,) + W_nodal.shape[2:])
     # np.take keeps the gathered cells C-contiguous
     w = np.take(W_nodal, cells, axis=CELL_AXIS)
-    Q = initial_guess(system, w, np.take(dxW, cells, axis=CELL_AXIS), grid)
-    q, rows = Q, np.arange(cells.size)   # the updating cells' iterate and rows in Q
+    q = initial_guess(system, w, np.take(dxW, cells, axis=CELL_AXIS), grid)
     residuals = []
     for _ in range(M):
-        if rows.size == 0:
+        if cells.size == 0:
             break
         stack = populate_stacks(system, q, grid)
         C = matrix_c(stack, M, grid)
-        q_new, cell_res = newton_sweep(stack, C, w, grid, cells[rows])
+        q_new, cell_res = newton_sweep(stack, C, w, grid, cells)
         residuals.append(float(cell_res.max()))
-        updating = (cell_res > cfg.residual_tol).nonzero()[0]
-        rows = rows[updating]
-        q = np.take(q_new, updating, axis=CELL_AXIS)
-        w = np.take(w, updating, axis=CELL_AXIS)
-        Q[..., rows] = q
-    # a slice copy per run of consecutive cells (cheaper than a fancy scatter)
-    new_run = np.ones(cells.size, dtype=bool)
-    np.not_equal(cells[1:] - cells[:-1], 1, out=new_run[1:])
-    starts = new_run.nonzero()[0].tolist()
-    for a, b in zip(starts, starts[1:] + [cells.size]):
-        out[..., cells[a]:cells[a] + b - a] = Q[..., a:b]
-    return out, residuals, int(rows.size)
+        updating = cell_res > cfg.residual_tol
+        # a cell that meets the tolerance leaves with its incoming iterate
+        out[..., cells[~updating]] = q[..., ~updating]
+        keep = updating.nonzero()[0]
+        cells = cells[keep]
+        q = np.take(q_new, keep, axis=CELL_AXIS)
+        w = np.take(w, keep, axis=CELL_AXIS)
+    out[..., cells] = q
+    return out, residuals, int(cells.size)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -262,10 +263,9 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
         for future in futures:
             future.exception()
     results += [f.result() for f in futures]
-    merged = []
-    for _, residuals, _ in results:     # max per sweep, in block order
-        merged = [*map(max, merged, residuals), *merged[len(residuals):],
-                  *residuals[len(merged):]]
+    # max per sweep over the blocks that ran it, folded in block order
+    merged = [max(r for r in sweep if r is not None)
+              for sweep in itertools.zip_longest(*(r for _, r, _ in results))]
     return merged, sum(unverified for _, _, unverified in results)
 
 
@@ -278,12 +278,10 @@ def nodal_solution(field: CellField, config: RunConfig, grid: NodeGrid):
     names the mesh cell (-1 and N are the ghost cells).
     """
     M = config.M
-    coeffs = reconstruct_padded(field.extended(M + 1), M, config.weno)
-    recon = ReconstructionSet(M, coeffs)
-    # the reconstruction's (n_S, N+2, m) values, once to component-first
-    W_nodal = np.ascontiguousarray(recon.evaluate(grid.xi).transpose(2, 0, 1))
-    dxW = np.ascontiguousarray(
-        (recon.evaluate(grid.xi, l=1) / field.dx).transpose(2, 0, 1))
+    recon = ReconstructionSet(M, reconstruct_padded(field.extended(M + 1), M,
+                                                    config.weno))
+    W_nodal = recon.evaluate(grid.xi)
+    dxW = recon.evaluate(grid.xi, l=1) / field.dx
 
     flags = transition_cells(field, config.system, W_nodal, grid.dt)
     q_nodal = np.empty(W_nodal.shape[:2] + (grid.n_time,) + W_nodal.shape[2:])

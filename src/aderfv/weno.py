@@ -13,7 +13,9 @@ Reconstruction is component-wise and conservative by construction.
 and weights of a stencil are (k, N*m) arrays with the cells and components
 flattened innermost, so each candidate set is one matrix product and each
 indicator ``sum_k c_k (osc c)_k`` one more; the result is transposed once to
-the public (N, M+1, m).
+the component-first (m, M+1, N) of :mod:`aderfv.nodes`, which
+``ReconstructionSet.evaluate`` turns into node values (m, G, N) with one
+product per component.
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .nodes import SUPPORTED_M, monomial_derivatives
 
 BOUNDARY_RULES = ("periodic", "transmissive")
 
@@ -126,7 +130,7 @@ def reconstruct_padded(avg_padded: np.ndarray, M: int,
 
     ``avg_padded`` has shape (N + 2M, m); the M leading/trailing rows feed
     the widest stencils of the N cells of interest.  Returns coefficients
-    with shape (N, M+1, m).
+    with shape (m, M+1, N).
     """
     cfg = config or WenoConfig()
     maps, osc = _stencil_tables(M)
@@ -150,7 +154,7 @@ def reconstruct_padded(avg_padded: np.ndarray, M: int,
         num = num + w * cand
         den = den + w
     coeffs = (num / den).reshape(M + 1, n_out, -1)
-    return np.ascontiguousarray(coeffs.transpose(1, 0, 2))
+    return np.ascontiguousarray(coeffs.transpose(2, 0, 1))
 
 
 class ReconstructionSet:
@@ -158,38 +162,28 @@ class ReconstructionSet:
 
     def __init__(self, M: int, coeffs: np.ndarray):
         self.M = M
-        self.coeffs = coeffs  # (N, M+1, m)
+        self.coeffs = coeffs  # (m, M+1, N)
 
     def evaluate(self, xi, l: int = 0) -> np.ndarray:
         """Values (or l-th xi-derivatives) at reference point(s) xi.
 
-        Scalar xi gives (N, m); a 1-D array of G points gives the points-first
-        (G, N, m), both C-contiguous (the scheme moves the components first
-        for the predictor).
+        A 1-D array of G points gives the component-first (m, G, N), the
+        layout of the predictor's node arrays; scalar xi gives (m, N).
         Derivatives are in reference coordinates (physical ones carry the
         caller-applied factor dx**-l); orders beyond the degree are exactly
         zero.
         """
         if l < 0:
             raise ValueError("derivative order must be non-negative")
-        basis = _basis(np.atleast_1d(np.asarray(xi, dtype=float)), self.M, l)
-        # one product over all cells and points, (G, N, m)
-        out = np.tensordot(basis, self.coeffs, axes=(1, 1))
-        return out[0] if np.ndim(xi) == 0 else out
-
-
-def _basis(xi: np.ndarray, degree: int, l: int) -> np.ndarray:
-    basis = np.zeros((len(xi), degree + 1))
-    for k in range(l, degree + 1):
-        basis[:, k] = math.perm(k, l) * xi ** (k - l)
-    return basis
+        basis = monomial_derivatives(np.atleast_1d(np.asarray(xi, dtype=float)),
+                                     self.M, l)
+        out = basis @ self.coeffs       # one product per component
+        return out[:, 0] if np.ndim(xi) == 0 else out
 
 
 def reconstruct(field: CellField, M: int,
                 config: WenoConfig | None = None) -> ReconstructionSet:
     """Per-cell WENO reconstruction of a field (one polynomial per cell)."""
-    from .nodes import SUPPORTED_M
-
     if M not in SUPPORTED_M:
         raise ValueError(f"unsupported polynomial degree M={M}")
     padded = field.extended(M)

@@ -344,6 +344,28 @@ def test_cli_converge_rejects_unsupported_orders(tmp_path, capsys, orders,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--cells", "0"],
+    ["solve", "--cfl", "0"],
+    ["solve", "--tout", "-1"],
+    ["converge", "--orders", "2", "--meshes", "2,4"],
+    ["converge", "--orders", "2", "--meshes", "8,2"],
+    ["converge", "--orders", "5..2", "--meshes", "8,16"],
+    ["converge", "--orders", "2", "--meshes", "8..4"],
+    ["converge", "--orders", "2", "--meshes", ","],
+])
+def test_cli_rejects_run_inputs_before_output(tmp_path, capsys, argv):
+    """An input that some run of the command would refuse (too few cells,
+    CFL or output time out of range) and an --orders or --meshes list with
+    no entry give one ``error:`` line, exit 2 and no output directory."""
+    out_dir = tmp_path / "out"
+    assert cli_main([argv[0], "--system", "linear", *argv[1:],
+                     "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("text", ["{bad", "[1]", None])
 def test_cli_config_unreadable(tmp_path, capsys, text):
     """A config file that is not JSON, holds no JSON object or is missing

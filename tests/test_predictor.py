@@ -20,8 +20,8 @@ from aderfv.weno import CellField, reconstruct
 def nodal_data_from_field(system, field, M, dt):
     grid = build_grid(M, field.dx, dt)
     recon = reconstruct(field, M)
-    w_nodal = np.moveaxis(recon.evaluate(grid.xi), -1, 0).copy()
-    dxw = np.moveaxis(recon.evaluate(grid.xi, l=1), -1, 0) / field.dx
+    w_nodal = recon.evaluate(grid.xi)
+    dxw = recon.evaluate(grid.xi, l=1) / field.dx
     return grid, w_nodal, dxw
 
 
@@ -471,6 +471,24 @@ def test_predictor_sweeps_receive_only_updating_cells(monkeypatch, data,
         assert 0 < rows.size < w_nodal.shape[-1]
         assert np.array_equal(w_in, w_nodal[..., rows])
         assert np.array_equal(q_in, q_prev[..., kept])
+
+
+def test_predictor_writes_only_owned_cells():
+    """Owning a non-contiguous set of cells (every third cell plus the two
+    front cells, which outlast sweep 1) writes exactly those columns of
+    ``out``, each bitwise the all-cells solve's, and leaves the others as
+    they were."""
+    system, grid, w_nodal, dxw = _stiff_pulse_data(3)
+    full, _, _ = predictor_solve(system, w_nodal, dxw, grid)
+    cells = np.union1d(np.arange(0, 120, 3), [29, 90])
+    out = np.full_like(full, np.nan)
+    got, trace, _ = predictor_solve(system, w_nodal, dxw, grid, cells=cells,
+                                    out=out)
+    assert got is out and len(trace) > 1
+    owned = np.zeros(120, dtype=bool)
+    owned[cells] = True
+    assert np.array_equal(out[..., owned], full[..., owned])
+    assert np.isnan(out[..., ~owned]).all()
 
 
 @pytest.mark.parametrize("data", ["stiff pulse", "shu-osher"])

@@ -516,7 +516,7 @@ def test_predictor_error_names_mesh_cell(monkeypatch, n_threads, beta, target,
                       boundary="transmissive", cfl=0.2, n_threads=n_threads)
     grid = build_grid(2, field.dx, 0.2 * field.dx)
     coeffs = reconstruct_padded(field.extended(3), 2)
-    W = np.moveaxis(ReconstructionSet(2, coeffs).evaluate(grid.xi), -1, 0)
+    W = ReconstructionSet(2, coeffs).evaluate(grid.xi)
     flags = transition_cells(field, cfg.system, W, grid.dt)
     assert flags[:target + 1].any() == transition_left
     assert not flags[target + 1]
@@ -615,8 +615,8 @@ def first_step_nodes(cfg):
     grid = build_grid(cfg.M, cfg.dx, cfl_timestep(field, cfg.system, cfg.cfl))
     coeffs = reconstruct_padded(field.extended(cfg.M + 1), cfg.M)
     recon = ReconstructionSet(cfg.M, coeffs)
-    W = np.moveaxis(recon.evaluate(grid.xi), -1, 0)
-    dxW = np.moveaxis(recon.evaluate(grid.xi, l=1), -1, 0) / cfg.dx
+    W = recon.evaluate(grid.xi)
+    dxW = recon.evaluate(grid.xi, l=1) / cfg.dx
     return field, grid, W, dxW
 
 

@@ -57,9 +57,9 @@ def test_constant_field_reproduced_exactly(M):
     field = CellField(12, 1 / 12, 0.0, np.full((12, 2), 3.25))
     recon = reconstruct(field, M)
     for i in range(12):
-        coeffs = recon.coeffs[i]
-        assert np.allclose(coeffs[0], 3.25, atol=1e-13)
-        assert np.allclose(coeffs[1:], 0.0, atol=1e-12)
+        coeffs = recon.coeffs[..., i]
+        assert np.allclose(coeffs[:, 0], 3.25, atol=1e-13)
+        assert np.allclose(coeffs[:, 1:], 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
@@ -72,7 +72,7 @@ def test_linear_data_reproduced_in_interior(M):
     for i in range(M, 16 - M):
         for xi in (-0.5, 0.0, 0.5):
             want = f(centers[i] + xi * dx)
-            got = recon.evaluate(xi)[i][0]
+            got = recon.evaluate(xi)[0][i]
             assert abs(got - want) < 1e-12
 
 
@@ -89,7 +89,7 @@ def test_degree_M_polynomials_reconstructed_exactly(M):
     centers = field.cell_centers()
     xi_probe = np.linspace(-0.5, 0.5, 7)
     for i in range(M, 20 - M):
-        got = recon.evaluate(xi_probe)[:, i, 0]
+        got = recon.evaluate(xi_probe)[0, :, i]
         want = f(centers[i] + xi_probe * dx)[:, 0]
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -103,7 +103,7 @@ def test_smooth_reconstruction_third_order_eoc():
         recon = reconstruct(field, 2)
         xi = np.linspace(-0.5, 0.5, 9)
         centers = field.cell_centers()
-        vals = recon.evaluate(xi)[:, :, 0]             # (points, cells)
+        vals = recon.evaluate(xi)[0]             # (points, cells)
         want = f(centers[None, :] + xi[:, None] * dx)[..., 0]
         errs.append(np.max(np.abs(vals - want)))
     eoc = np.log2(errs[0] / errs[1])
@@ -120,7 +120,7 @@ def test_conservation_of_cell_means(M, seed):
     k = np.arange(M + 1)
     moments = (0.5 ** (k + 1) - (-0.5) ** (k + 1)) / (k + 1)
     for i in range(10):
-        assert np.max(np.abs(moments @ recon.coeffs[i] - avg[i])) < 1e-12
+        assert np.max(np.abs(moments @ recon.coeffs[..., i].T - avg[i])) < 1e-12
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
@@ -131,18 +131,18 @@ def test_step_function_interface_values_stay_in_data_range(M):
     for i in range(30):
         lo = avg[max(0, i - M): i + M + 1, 0].min()
         hi = avg[max(0, i - M): i + M + 1, 0].max()
-        vals = recon.evaluate(np.array([-0.5, 0.5]))[:, i, 0]
+        vals = recon.evaluate(np.array([-0.5, 0.5]))[0, :, i]
         assert vals.min() >= lo - 1e-8
         assert vals.max() <= hi + 1e-8
 
 
 def test_evaluate_point_values_and_derivatives():
     quad = ReconstructionSet(2, np.array(
-        [[[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]]]))
-    assert np.allclose(quad.evaluate(0.0)[0], [1.0, 2.0])
+        [[[1.0], [3.0], [0.5]], [[2.0], [-1.0], [0.25]]]))
+    assert np.allclose(quad.evaluate(0.0)[:, 0], [1.0, 2.0])
     lin = ReconstructionSet(1, np.array([[[4.0], [2.5]]]))
     for xi in (-0.5, 0.1, 0.5):
-        assert np.allclose(lin.evaluate(xi, l=1)[0], [2.5])
+        assert np.allclose(lin.evaluate(xi, l=1)[:, 0], [2.5])
     assert np.all(quad.evaluate(0.3, l=3) == 0.0)
     with pytest.raises(ValueError):
         quad.evaluate(0.0, l=-1)
@@ -159,35 +159,35 @@ def test_evaluate_second_derivative_matches_finite_difference():
 def test_reconstruction_set_interface():
     field = CellField(8, 0.125, 0.0, np.arange(16.0).reshape(8, 2))
     recon = reconstruct(field, 2)
-    assert recon.coeffs.shape[0] == 8
-    assert recon.coeffs[3].shape == (3, 2)
+    assert recon.coeffs.shape[2] == 8
+    assert recon.coeffs[..., 3].shape == (2, 3)
     vals = recon.evaluate(np.array([-0.5, 0.0, 0.5]))
-    assert vals.shape == (3, 8, 2)       # points first
+    assert vals.shape == (2, 3, 8)       # components first
     scalar = recon.evaluate(0.0)
-    assert scalar.shape == (8, 2)
-    assert np.allclose(scalar, vals[1])
+    assert scalar.shape == (2, 8)
+    assert np.allclose(scalar, vals[:, 1])
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4])
 @pytest.mark.parametrize("m", [1, 3])
 def test_evaluate_matches_literal_basis_sum(M, m):
     """evaluate is sum_k c_k d^l/dxi^l xi^k per cell and component, to
-    rounding, and returns C-contiguous points-first arrays for point sets
-    and (cells, m) for scalars."""
+    rounding, and returns C-contiguous component-first arrays,
+    (m, points, cells) for point sets and (m, cells) for scalars."""
     rng = np.random.default_rng(M + 10 * m)
-    recon = ReconstructionSet(M, rng.standard_normal((7, M + 1, m)))
+    recon = ReconstructionSet(M, rng.standard_normal((m, M + 1, 7)))
     xi = np.array([-0.5, -0.1, 0.25, 0.5])
     for l in range(M + 2):
-        want = np.zeros((len(xi), 7, m))
+        want = np.zeros((m, len(xi), 7))
         for k in range(l, M + 1):
             factor = math.perm(k, l) * xi ** (k - l)
-            want += factor[:, None, None] * recon.coeffs[None, :, k, :]
+            want += factor[None, :, None] * recon.coeffs[:, None, k, :]
         got = recon.evaluate(xi, l)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
         point = recon.evaluate(0.25, l)
         assert point.flags.c_contiguous
-        assert np.allclose(point, got[2], rtol=1e-13, atol=1e-13)
+        assert np.allclose(point, got[:, 2], rtol=1e-13, atol=1e-13)
 
 
 def test_reconstruct_rejects_unsupported_degree():
@@ -202,8 +202,8 @@ def test_weights_prefer_smooth_sided_stencil_at_jump():
     field = CellField(20, 0.05, 0.0, avg, "transmissive")
     recon = reconstruct(field, 3)
     # cell 9 is left of the jump: its smooth (left) stencil is constant
-    assert np.max(np.abs(recon.coeffs[9, 1:])) < 1e-6
-    assert abs(recon.coeffs[9, 0, 0] - 2.0) < 1e-6
+    assert np.max(np.abs(recon.coeffs[:, 1:, 9])) < 1e-6
+    assert abs(recon.coeffs[0, 0, 9] - 2.0) < 1e-6
 
 
 def cell_major_reference(avg_padded, M):
@@ -236,7 +236,7 @@ def test_component_major_sigma_matches_cell_major_bitwise(M, m):
     for n_out, scale in ((1, 1.0), (7, 1e-7), (64, 1.0), (300, 1e5)):
         avg = scale * rng.standard_normal((n_out + 2 * M, m))
         avg[rng.random(avg.shape) < 0.3] = 0.0      # flat runs: sigma = 0
-        want = cell_major_reference(avg, M)
+        want = cell_major_reference(avg, M).transpose(2, 1, 0)   # (m, k, N)
         got = reconstruct_padded(avg, M)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
