@@ -210,8 +210,8 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
     exit is per cell, so results do not depend on which cells are solved
     together).  Writes each cell's values once into ``out``, shape
     (m, n_S, n_T, n_cells) (default: a new array): a cell that leaves in
-    the sweep it leaves, the cells still updating after sweep M with that
-    sweep's update.  Returns ``out``; per sweep
+    the sweep where it leaves, the cells still updating after sweep M with
+    that sweep's update.  Returns ``out``; per sweep
     the max-norm residual of the incoming iterate over the cells it
     evaluated (above ``residual_tol`` the max over all cells, since a cell
     that left holds a residual at or below it); and the number of cells
