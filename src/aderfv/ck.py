@@ -52,20 +52,6 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def pascal_coeffs(l: int):
-    """Rows (a, b) of the two Pascal-triangle coefficient families.
-
-    Entry index k = 1..l+1 (0-based k-1): ``a[k] = C(l, l+1-k)`` multiplies
-    the spatial-derivative-of-A term and ``b[k] = C(l-1, l+1-k)`` the
-    B term in the mixed-derivative expansion of order l.
-    """
-    if l < 1:
-        raise ValueError("pascal_coeffs requires l >= 1")
-    a = np.array([binom(l, l + 1 - k) for k in range(1, l + 2)])
-    b = np.array([binom(l - 1, l + 1 - k) for k in range(1, l + 2)])
-    return a, b
-
-
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Batched m x m matrix (m, m, ...) times m-vector (m, ...)."""
     out = mat[:, 0] * vec[0]
@@ -213,23 +199,3 @@ def taylor_terms(stack: NodeDerivativeStack, C: dict, M: int) -> dict:
             dtq[k] = mk + _matvec(stack.B, dtq[k - 1])
     return dtq
 
-
-def leibniz_expand(l: int, a_derivs, b_derivs) -> np.ndarray:
-    """Leibniz rule d_t^l (A.B) = sum_k C(l,k) A_t^(l-k) . B_t^(k).
-
-    ``a_derivs``/``b_derivs`` are sequences indexed by derivative order
-    0..l; the product is matrix-matrix or matrix-vector depending on the
-    rank of the b entries.
-    """
-    if l < 0:
-        raise ValueError("leibniz_expand requires l >= 0")
-    if len(a_derivs) < l + 1 or len(b_derivs) < l + 1:
-        raise ValueError("need derivative stacks up to order l")
-    matvec = np.asarray(b_derivs[0]).ndim < np.asarray(a_derivs[0]).ndim
-    out = None
-    for k in range(l + 1):
-        a = np.asarray(a_derivs[l - k])
-        b = np.asarray(b_derivs[k])
-        term = binom(l, k) * (_matvec(a, b) if matvec else _matmul(a, b))
-        out = term if out is None else out + term
-    return out

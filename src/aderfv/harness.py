@@ -139,9 +139,13 @@ class PresetCase:
     error_component: int = 0
 
 
-def make_case(name: str, beta: Optional[float] = None,
-              gamma: float = 1.4) -> PresetCase:
-    """Build one of the named benchmark cases, optionally overriding beta."""
+def make_case(name: str, beta: Optional[float] = None) -> PresetCase:
+    """Build one of the named benchmark cases, optionally overriding beta.
+
+    The Euler presets have no source, so a beta for them is refused.
+    """
+    if beta is not None and name in ("euler-smooth", "shu-osher"):
+        raise ValueError(f"preset {name!r} has no source coefficient beta")
     if name == "linear":
         system = linear_system(lam=1.0, beta=-1.0 if beta is None else beta)
         return PresetCase(name, system, lambda x: system.exact_solution(x, 0.0),
@@ -158,18 +162,16 @@ def make_case(name: str, beta: Optional[float] = None,
                           system.exact_solution, 0.0, 1.0, "transmissive",
                           0.2, 0.3, 300)
     if name == "euler-smooth":
-        system = euler_system(gamma=gamma)
+        system = euler_system()
         return PresetCase(name, system, lambda x: system.exact_solution(x, 0.0),
                           system.exact_solution, 0.0, 1.0, "periodic",
                           0.9, 1.0, 100)
     if name == "shu-osher":
-        system = euler_system(gamma=gamma)
+        system = euler_system()
 
-        # Classical density-wave amplitude; the literal amplitude-1 initial
-        # data has vacuum troughs and is not runnable.
         def initial(x):
-            return euler_primitive_to_conserved(
-                shu_osher_initial(x, amplitude=0.2).as_array(), gamma)
+            return euler_primitive_to_conserved(shu_osher_initial(x),
+                                                system.params["gamma"])
 
         return PresetCase(name, system, initial, None, -1.0, 1.0,
                           "transmissive", 0.5, 0.47, 300)
@@ -227,9 +229,7 @@ def shu_osher_reference(cells: int = 2000, order: int = 3) -> CellField:
     key = (cells, order)
     if key not in _REFERENCE_CACHE:
         case = make_case("shu-osher")
-        # cell-block threading is bitwise deterministic, so the thread count
-        # only affects wall time
-        result = run(build_config(case, order=order, cells=cells, n_threads=2))
+        result = run(build_config(case, order=order, cells=cells))
         _REFERENCE_CACHE[key] = result.field
     return _REFERENCE_CACHE[key]
 

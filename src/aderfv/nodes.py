@@ -77,14 +77,14 @@ def _derivative_matrices(nodes: np.ndarray) -> list[np.ndarray]:
 @lru_cache(maxsize=None)
 def _space_operators(M: int):
     xi = space_nodes(M)
-    return xi, _derivative_matrices(xi), np.linalg.inv(_vandermonde(xi))
+    return xi, _derivative_matrices(xi)
 
 
 @lru_cache(maxsize=None)
 def _time_operators(M: int):
     n_t = max(M, 1)
     tau, wts = gauss_legendre(n_t, 0.0, 1.0)
-    return tau, wts, _derivative_matrices(tau), np.linalg.inv(_vandermonde(tau))
+    return tau, wts, _derivative_matrices(tau)
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,6 @@ class NodeGrid:
     ``space_diff[l]`` / ``time_diff[l]`` differentiate nodal samples l times
     in reference coordinates; physical derivatives carry the extra factors
     dx**-l / dt**-l (see :func:`space_derivative`, :func:`time_derivative`).
-    ``space_coeff`` / ``time_coeff`` map nodal samples to the monomial
-    coefficients of the interpolant (rows are the generated analogues of the
-    published interpolation stencils).
     """
 
     M: int
@@ -107,12 +104,6 @@ class NodeGrid:
     dt: float
     space_diff: tuple
     time_diff: tuple
-    space_coeff: np.ndarray
-    time_coeff: np.ndarray
-
-    @property
-    def n_space(self) -> int:
-        return len(self.xi)
 
     @property
     def n_time(self) -> int:
@@ -125,8 +116,8 @@ def build_grid(M: int, dx: float, dt: float) -> NodeGrid:
         raise ValueError(f"unsupported polynomial degree M={M}; supported: {SUPPORTED_M}")
     if dx <= 0.0 or dt <= 0.0:
         raise ValueError("dx and dt must be positive")
-    xi, sdiff, scoeff = _space_operators(M)
-    tau, wts, tdiff, tcoeff = _time_operators(M)
+    xi, sdiff = _space_operators(M)
+    tau, wts, tdiff = _time_operators(M)
     return NodeGrid(
         M=M,
         xi=xi,
@@ -136,8 +127,6 @@ def build_grid(M: int, dx: float, dt: float) -> NodeGrid:
         dt=dt,
         space_diff=tuple(sdiff),
         time_diff=tuple(tdiff),
-        space_coeff=scoeff,
-        time_coeff=tcoeff,
     )
 
 

@@ -77,10 +77,6 @@ class RunConfig:
             raise ValueError("need at least 3 cells")
 
     @property
-    def order(self) -> int:
-        return self.M + 1
-
-    @property
     def dx(self) -> float:
         return (self.x_right - self.x_left) / self.n_cells
 

@@ -300,18 +300,6 @@ def leveque_yee_system(beta: float = -10000.0) -> HyperbolicSystem:
 # Euler equations
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimitiveState:
-    """Primitive gas state: density, velocity, pressure (array-valued)."""
-
-    rho: np.ndarray
-    u: np.ndarray
-    p: np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        return np.stack(np.broadcast_arrays(self.rho, self.u, self.p), axis=-1)
-
-
 def euler_primitive_to_conserved(prim: np.ndarray, gamma: float) -> np.ndarray:
     """(rho, u, p) -> (rho, rho*u, E); rejects rho <= 0 or p <= 0."""
     prim = np.asarray(prim, dtype=float)
@@ -319,19 +307,6 @@ def euler_primitive_to_conserved(prim: np.ndarray, gamma: float) -> np.ndarray:
     if np.any(rho <= 0.0) or np.any(p <= 0.0):
         raise InadmissibleStateError("primitive state with non-positive density or pressure")
     return np.stack([rho, rho * u, p / (gamma - 1.0) + 0.5 * rho * u**2], axis=-1)
-
-
-def euler_conserved_to_primitive(cons: np.ndarray, gamma: float) -> np.ndarray:
-    """(rho, rho*u, E) -> (rho, u, p); rejects rho <= 0 or p <= 0."""
-    cons = np.asarray(cons, dtype=float)
-    rho = cons[..., 0]
-    if np.any(rho <= 0.0):
-        raise InadmissibleStateError("conserved state with non-positive density")
-    u = cons[..., 1] / rho
-    p = (gamma - 1.0) * (cons[..., 2] - 0.5 * rho * u**2)
-    if np.any(p <= 0.0):
-        raise InadmissibleStateError("conserved state with non-positive pressure")
-    return np.stack([rho, u, p], axis=-1)
 
 
 def euler_system(gamma: float = 1.4) -> HyperbolicSystem:
@@ -394,16 +369,17 @@ def euler_system(gamma: float = 1.4) -> HyperbolicSystem:
     )
 
 
-def shu_osher_initial(x, amplitude: float = 1.0) -> PrimitiveState:
-    """Shock/sine-wave interaction initial data on [-1, 1], primitive variables.
+def shu_osher_initial(x) -> np.ndarray:
+    """Shock/sine-wave interaction initial data on [-1, 1]: the primitive
+    state (rho, u, p), shape (..., 3).
 
-    ``amplitude`` scales the pre-shock density wave.  The default follows the
-    originating description literally; note that amplitude 1 places vacuum
-    points at the wave troughs, so actual runs use the classical 0.2.
+    The pre-shock density wave has the classical amplitude 0.2; the literal
+    amplitude 1 of the originating description places vacuum points at the
+    wave troughs and is not runnable.
     """
     x = np.asarray(x, dtype=float)
     left = x < -0.8
-    rho = np.where(left, 3.8571, 1.0 + amplitude * np.sin(5.0 * np.pi * x))
+    rho = np.where(left, 3.8571, 1.0 + 0.2 * np.sin(5.0 * np.pi * x))
     u = np.where(left, 2.6294, 0.0)
     p = np.where(left, 10.333, 1.0)
-    return PrimitiveState(rho=rho, u=u, p=p)
+    return np.stack([rho, u, p], axis=-1)

@@ -13,8 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from aderfv.ck import binom, leibniz_expand, matrix_c, pascal_coeffs, \
-    taylor_terms
+from aderfv.ck import NodeDerivativeStack, binom, m_vector, matrix_c, \
+    matrix_d, taylor_terms
 from aderfv.harness import (build_config, convergence_study, error_norms,
                             field_interpolant, make_case, shu_osher_reference)
 from aderfv.nodes import build_grid, newton_cotes_weights, space_nodes
@@ -211,18 +211,20 @@ def test_criterion_5_shu_osher(shu_osher_runs):
 
 
 def test_criterion_6_ck_coefficient_suite():
-    """Pascal tables, D identities, constant-coefficient derivative oracle."""
+    """Pascal tables read off D, D identities, constant-coefficient and
+    uniform q' = beta q^2 derivative oracles."""
     table_a = {1: [1, 1], 2: [1, 2, 1], 3: [1, 3, 3, 1], 4: [1, 4, 6, 4, 1],
                5: [1, 5, 10, 10, 5, 1]}
     table_b = {1: [0, 1], 2: [0, 1, 1], 3: [0, 1, 2, 1], 4: [0, 1, 3, 3, 1],
                5: [0, 1, 4, 6, 4, 1]}
+    import tests.test_ck as tc
+
     ok = True
     for l in range(1, 6):
-        a, b = pascal_coeffs(l)
-        ok &= list(a) == table_a[l]
-        ok &= list(b) == table_b[l]
+        a, b = tc.pascal_rows_of_matrix_d(l)
+        ok &= a == table_a[l]
+        ok &= b == table_b[l]
 
-    from aderfv.ck import NodeDerivativeStack, matrix_d
     rng = np.random.default_rng(3)
     stack = NodeDerivativeStack(Q=np.zeros(2), A=rng.standard_normal((2, 2)),
                                 B=rng.standard_normal((2, 2)),
@@ -235,7 +237,7 @@ def test_criterion_6_ck_coefficient_suite():
     lam, beta = 1.0, -1.0
     a_mat = np.array([[0.0, lam], [lam, 0.0]])
     grid = build_grid(4, 0.5, 0.5)
-    shape = (grid.n_space, grid.n_time, 1)     # behind the components
+    shape = (len(grid.xi), grid.n_time, 1)     # behind the components
     stack = NodeDerivativeStack(
         Q=rng.standard_normal((2,) + shape),
         A=np.broadcast_to(a_mat[:, :, None, None, None], (2, 2) + shape).copy(),
@@ -260,6 +262,14 @@ def test_criterion_6_ck_coefficient_suite():
                    for j in range(0, k + 1))
         rel = np.max(np.abs(dtq[k] - want)) / max(1.0, np.max(np.abs(want)))
         worst = max(worst, rel)
+
+    # uniform q' = beta q^2 oracle, B varying in time, M = 2..4
+    for M in (2, 3, 4):
+        grid, stack, exact = tc.riccati_stack(M)
+        dtq = taylor_terms(stack, matrix_c(stack, M, grid), M)
+        for k in range(1, M + 1):
+            rel = np.max(np.abs(dtq[k] - exact[k])) / max(1.0, abs(exact[k]))
+            worst = max(worst, rel)
     ok &= worst < 1e-8
     assert _report("criterion 6: CK coefficient suite", ok,
                    f"max oracle deviation {worst:.1e}")
@@ -267,7 +277,8 @@ def test_criterion_6_ck_coefficient_suite():
 
 def test_criterion_7_interpolation_suite():
     """Generated operators exact on monomials and matching the tables."""
-    from aderfv.nodes import space_derivative, time_derivative
+    from aderfv.nodes import (monomial_derivatives, space_derivative,
+                              time_derivative)
     import tests.test_nodes as tn
 
     ok = True
@@ -290,13 +301,19 @@ def test_criterion_7_interpolation_suite():
                 worst = max(worst, float(np.max(np.abs(got - want))))
     ok &= worst < 1e-10
 
+    # the published rows map nodal samples to monomial coefficients, so
+    # with the monomials' derivatives they give the solver's operators
     dev = 0.0
     for M in (2, 3, 4):
         g = build_grid(M, 1.0, 1.0)
-        dev = max(dev, float(np.max(np.abs(
-            g.space_coeff - np.array(tn.SPACE_ROWS[M])))))
-        dev = max(dev, float(np.max(np.abs(
-            g.time_coeff - np.array(tn.TIME_ROWS[M])))))
+        for l in range(M + 1):
+            dev = max(dev, float(np.max(np.abs(
+                monomial_derivatives(g.xi, M, l) @ np.array(tn.SPACE_ROWS[M])
+                - g.space_diff[l]))))
+        for l in range(g.n_time):
+            dev = max(dev, float(np.max(np.abs(
+                monomial_derivatives(g.tau, g.n_time - 1, l)
+                @ np.array(tn.TIME_ROWS[M]) - g.time_diff[l]))))
     ok &= dev < 1e-10
 
     quad_ok = True
@@ -313,40 +330,38 @@ def test_criterion_7_interpolation_suite():
 
 
 def test_criterion_8_leibniz_property():
-    """Product-rule expansion vs exact polynomial differentiation, l <= 4."""
+    """The B term of m_vector is the product rule d_t^(k-2)(B v) against
+    exact polynomial differentiation, k <= 6 (derivative order <= 4).
+
+    With C = 0 and dxQ = 0, M_k holds only the Leibniz sum over B's time
+    derivatives, so M_k + B dtq[k-1] = d_t^(k-2)(B v) for dtq[l] = v^(l-1).
+    """
     from numpy.polynomial import polynomial as P
 
+    def at(coeffs, order):
+        """order-th derivative at t0 of polynomials with coefficients on the
+        last axis"""
+        return P.polyval(t0, np.moveaxis(P.polyder(coeffs, order, axis=-1),
+                                         -1, 0))
+
     rng = np.random.default_rng(8)
+    t0 = 0.3
     worst = 0.0
-    for l in range(0, 5):
-        a = rng.standard_normal((2, 2, 5))
+    for k in range(2, 7):
         b = rng.standard_normal((2, 2, 5))
-        t0 = 0.3
-        prod = np.zeros((2, 2, 9))
-        for i in range(2):
-            for j in range(2):
-                acc = np.zeros(9)
-                for k in range(2):
-                    conv = P.polymul(a[i, k], b[k, j])
-                    acc[: len(conv)] += conv
-                prod[i, j] = acc
-
-        def derivs(coeffs, order):
-            out = []
-            for o in range(order + 1):
-                mat = np.empty(coeffs.shape[:2])
-                for i in range(coeffs.shape[0]):
-                    for j in range(coeffs.shape[1]):
-                        c = coeffs[i, j]
-                        for _ in range(o):
-                            c = P.polyder(c)
-                        mat[i, j] = P.polyval(t0, c)
-                out.append(mat)
-            return out
-
-        want = derivs(prod, l)[l]
-        got = leibniz_expand(l, derivs(a, l), derivs(b, l))
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        v = rng.standard_normal((2, 5))
+        prod = np.array([sum(P.polymul(b[i, j], v[j]) for j in range(2))
+                         for i in range(2)])
+        stack = NodeDerivativeStack(Q=np.zeros(2), A=np.zeros((2, 2)),
+                                    B=at(b, 0), S=np.zeros(2))
+        for j in range(1, k - 1):
+            stack.dtB[j] = at(b, j)
+        for l in range(1, k + 1):
+            stack.dxQ[l] = np.zeros(2)
+        C = {(k, l): np.zeros((2, 2)) for l in range(1, k + 1)}
+        dtq = {l: at(v, l - 1) for l in range(1, k)}
+        got = m_vector(k, stack, C, dtq) + stack.B @ dtq[k - 1]
+        worst = max(worst, float(np.max(np.abs(got - at(prod, k - 2)))))
     ok = worst < 1e-12 * 10   # polynomial values are O(1)
     assert _report("criterion 8: Leibniz property", ok,
                    f"max deviation {worst:.1e}")

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from numpy.polynomial import polynomial as P
+
 from aderfv.ck import (NodeDerivativeStack, _det, _matmul, _matvec, _solve,
-                       binom, leibniz_expand, m_vector, matrix_c, matrix_d,
-                       pascal_coeffs, taylor_terms)
+                       binom, m_vector, matrix_c, matrix_d, taylor_terms)
 from aderfv.nodes import build_grid
 from aderfv.predictor import residual_and_jacobian
 
@@ -52,13 +53,6 @@ def test_binom_examples():
 @given(st.integers(1, 30), st.integers(-2, 32))
 def test_binom_pascal_recurrence(n, k):
     assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
-
-
-@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
-def test_pascal_coeffs_reproduce_tables(l):
-    a, b = pascal_coeffs(l)
-    assert list(a) == table_row(TABLE_A, l)
-    assert list(b) == table_row(TABLE_B, l)
 
 
 def random_stack(m=2, orders_a=5, orders_b=5, seed=0):
@@ -112,34 +106,34 @@ def zero_probe(m, max_order):
     return probe
 
 
-@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
-def test_matrix_d_coefficients_match_pascal_tables(l):
-    """The mixed-derivative matrices reproduce the published tables.
+def pascal_rows_of_matrix_d(l, m=2):
+    """Rows (a, b) of the Pascal tables at order l, read off D(l+1, k),
+    k = 1..l+1, by probing with indicator stacks.
 
-    Probing D(l+1, k) with indicator values isolates the scalar coefficient
-    of each derivative of A and B; the A coefficients follow the a-table
-    directly, the B coefficient of order l-k sits one column further right
-    in the b-table.
+    An indicator stack is zero except for one derivative of A or B set to
+    ones, which isolates that derivative's scalar coefficient.  The A
+    coefficients of D(l+1, k) form the a-row; the B coefficient of order
+    l-k sits one column further right in the b-row, whose first column,
+    C(l-1, l), is zero and belongs to no D.
     """
-    m = 2
-    a_row, b_row = pascal_coeffs(l)
+    a, b = [], [0]
     for k in range(1, l + 2):
-        # A-part: set A_x^(l+1-k) = ones (order 0 is A), everything else zero
         probe = zero_probe(m, l + 1)
         probe.dxA[l + 1 - k] = np.ones((m, m))
-        coeff = -matrix_d(l + 1, k, probe)[0, 0]
-        assert coeff == a_row[k - 1]
+        a.append(-matrix_d(l + 1, k, probe)[0, 0])
+        if k <= l:
+            probe = zero_probe(m, l + 1)
+            probe.dxB[l - k] = np.ones((m, m))
+            b.append(matrix_d(l + 1, k, probe)[0, 0])
+    return a, b
 
-        # B-part: order l-k lives one column to the right in the table
-        probe_b = zero_probe(m, l + 1)
-        order_b = l - k
-        if order_b >= 0:
-            probe_b.dxB[order_b] = np.ones((m, m))
-        coeff_b = matrix_d(l + 1, k, probe_b)[0, 0] if order_b >= 0 else 0.0
-        if k < l + 1:
-            assert coeff_b == b_row[k]
-        else:
-            assert coeff_b == 0.0
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+def test_matrix_d_coefficients_match_pascal_tables(l):
+    """The mixed-derivative matrices reproduce the published tables."""
+    a, b = pascal_rows_of_matrix_d(l)
+    assert a == table_row(TABLE_A, l)
+    assert b == table_row(TABLE_B, l)
 
 
 def on_nodes(values, shape):
@@ -174,7 +168,7 @@ def constant_grid_stack(A, B, M, n_cells=1, seed=3):
     m = A.shape[0]
     grid = build_grid(M, 0.5, 0.5)
     rng = np.random.default_rng(seed)
-    shape = (grid.n_space, grid.n_time, n_cells)
+    shape = (len(grid.xi), grid.n_time, n_cells)
     stack = NodeDerivativeStack(
         Q=rng.standard_normal((m,) + shape),
         A=on_nodes(A, shape),
@@ -201,7 +195,7 @@ def test_matrix_c_base_and_step_three_identities():
     a1 = rng.standard_normal((m, m))
     b0 = rng.standard_normal((m, m))
     ax = rng.standard_normal((m, m))
-    shape = (grid.n_space, grid.n_time, 1)
+    shape = (len(grid.xi), grid.n_time, 1)
     # A varies linearly in physical time => the interpolated gradient is exact
     t_phys = grid.tau * grid.dt
     a_field = on_nodes(a0, shape) + t_phys[:, None] * on_nodes(a1, shape)
@@ -311,7 +305,7 @@ def test_residual_is_taylor_sum_of_binomial_oracle():
     M = 4
     A, beta, grid, stack = linear_relaxation_stack(M=M, seed=29)
     C = matrix_c(stack, M, grid)
-    w = np.random.default_rng(30).standard_normal((2, grid.n_space, 1))
+    w = np.random.default_rng(30).standard_normal((2, len(grid.xi), 1))
     tau = grid.tau * grid.dt
     h, jac = residual_and_jacobian(stack, C, w, tau, M)
     want_h = stack.Q - w[:, :, None]
@@ -379,7 +373,7 @@ def test_second_time_derivative_fd_oracle_on_exact_solution():
     fd = (dtq1(t0 + ht) - dtq1(t0 - ht)) / (2 * ht)
 
     grid = build_grid(2, 0.1, 0.05)
-    shape = (grid.n_space, grid.n_time, 1)
+    shape = (len(grid.xi), grid.n_time, 1)
     q = on_nodes(exact(x0, t0), shape)
     stack = NodeDerivativeStack(Q=q, A=on_nodes(A, shape),
                                 B=on_nodes(beta * np.eye(2), shape),
@@ -402,86 +396,98 @@ def test_ck_coefficients_bounds():
 
 
 # ---------------------------------------------------------------------------
-# Leibniz rule
+# Exact oracles in which B varies (the Leibniz sum of m_vector)
 # ---------------------------------------------------------------------------
 
-def polynomial_matrix(rng, m, n, deg):
-    """Matrix of random polynomial coefficient rows, shape (m, n, deg+1)."""
-    return rng.standard_normal((m, n, deg + 1))
+def riccati_stack(M, q0=0.8, beta=-1.5):
+    """Grid stack of spatially uniform data for q' = beta q^2: A = 0,
+    B = 2 beta q, S = beta q^2, with B's exact time derivatives
+    dtB[j] = 2 beta j! beta^j q0^(j+1).
+
+    Returns the grid, the stack and the exact time derivatives
+    dt^k q = k! beta^k q0^(k+1), k = 1..M.
+    """
+    grid = build_grid(M, 0.5, 0.5)
+    q = np.full((1, len(grid.xi), grid.n_time, 1), q0)
+    stack = NodeDerivativeStack(Q=q, A=np.zeros((1,) + q.shape),
+                                B=2 * beta * q[None], S=beta * q**2)
+    for l in range(1, M + 1):
+        stack.dxQ[l] = np.zeros_like(q)
+    for l in range(1, M):
+        stack.dxA[l] = np.zeros_like(stack.A)
+    for j in range(1, M - 1):
+        stack.dxB[j] = np.zeros_like(stack.B)
+        stack.dtB[j] = np.full_like(stack.B, 2 * beta * math.factorial(j)
+                                    * beta**j * q0 ** (j + 1))
+    exact = {k: math.factorial(k) * beta**k * q0 ** (k + 1)
+             for k in range(1, M + 1)}
+    return grid, stack, exact
 
 
-def poly_derivs_at(coeffs, t0, max_order):
-    """Evaluate all time derivatives 0..max_order of a polynomial matrix."""
-    from numpy.polynomial import polynomial as P
-
-    m, n, _ = coeffs.shape
-    out = []
-    for order in range(max_order + 1):
-        mat = np.empty((m, n))
-        for i in range(m):
-            for j in range(n):
-                c = coeffs[i, j]
-                for _ in range(order):
-                    c = P.polyder(c)
-                mat[i, j] = P.polyval(t0, c)
-        out.append(mat)
-    return out
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_time_derivatives_uniform_riccati_oracle(M):
+    """On uniform data of q' = beta q^2 the recursion is the Leibniz sum
+    over B's time derivatives alone and gives dt^k q exactly."""
+    grid, stack, exact = riccati_stack(M)
+    dtq = taylor_terms(stack, matrix_c(stack, M, grid), M)
+    for k in range(1, M + 1):
+        assert np.max(np.abs(dtq[k] - exact[k])) <= 1e-12 * abs(exact[k])
 
 
-def test_leibniz_base_cases():
-    rng = np.random.default_rng(31)
-    A, B = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-    At, Bt = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-    assert np.allclose(leibniz_expand(0, [A], [B]), A @ B)
-    assert np.allclose(leibniz_expand(1, [A, At], [B, Bt]),
-                       At @ B + A @ Bt)
+def burgers_source_series(q0, beta, K):
+    """Polynomials q_k(x) = dt^k q(x, 0), k = 0..K, of the exact solution
+    of q_t + (q^2/2)_x = beta q^2 with polynomial data q0 (coefficients
+    ascending): the classical CK recursion, Leibniz rule on q (beta q - q_x),
+    on exact polynomial arithmetic."""
+    q = [np.asarray(q0, dtype=float)]
+    for k in range(K):
+        acc = np.zeros(1)
+        for j in range(k + 1):
+            rate = P.polysub(beta * q[k - j], P.polyder(q[k - j]))
+            acc = P.polyadd(acc, binom(k, j) * P.polymul(q[j], rate))
+        q.append(acc)
+    return q
 
 
-@pytest.mark.parametrize("l", [1, 2, 3, 4])
-def test_leibniz_matches_symbolic_polynomial_differentiation(l):
-    """Product rule vs. exact differentiation of polynomial matrix products."""
-    from numpy.polynomial import polynomial as P
+def test_time_derivatives_burgers_source_oracle_order_5():
+    """M = 4 on q_t + (q^2/2)_x = beta q^2, where A = q and B = 2 beta q
+    vary in x and t: every entry of the stack is exact, so dtQ[k] must
+    match the exact dt^k q at the nodes up to the error of the time
+    gradients in matrix_c.
 
-    rng = np.random.default_rng(100 + l)
-    t0 = 0.37
-    a = polynomial_matrix(rng, 2, 2, 4)
-    b = polynomial_matrix(rng, 2, 2, 4)
-    # symbolic product (A B)_ij = sum_k A_ik * B_kj as polynomials
-    prod = np.zeros((2, 2, 9))
-    for i in range(2):
-        for j in range(2):
-            acc = np.zeros(9)
-            for k in range(2):
-                conv = P.polymul(a[i, k], b[k, j])
-                acc[: len(conv)] += conv
-            prod[i, j] = acc
-    want = poly_derivs_at(prod, t0, l)[l]
-    got = leibniz_expand(l, poly_derivs_at(a, t0, l), poly_derivs_at(b, t0, l))
-    assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.abs(want).max())
+    Those gradients differentiate the interpolant through the M Gauss time
+    nodes, and each level nests one more of them, so the deviation grows
+    like dt^(5-k): relative 1e-11, 1e-7 and 1e-4 at k = 2, 3, 4 with
+    dt = 1e-3.  The gate 5 dt^(5-k) sits 40x above those, and 50x below the
+    2.7e-1 that a wrong Leibniz coefficient of m_vector gives at k = 4.
+    """
+    M, dx, dt, beta, K = 4, 0.1, 1e-3, 2.0, 16
+    grid = build_grid(M, dx, dt)
+    q = burgers_source_series([0.5, 0.3, -0.2], beta, K)
+    x = ((np.arange(3) - 1.0)[None, :] + grid.xi[:, None]) * dx
+    x, t = np.broadcast_arrays(x[:, None, :], grid.tau[:, None] * dt)
 
+    def exact(kt, lx):
+        """dt^kt dx^lx q at the nodes, (1, n_S, n_T, cells), from the
+        Taylor series in t, truncated far below rounding."""
+        return sum(P.polyval(x, P.polyder(q[n + kt], lx)) * t**n
+                   / math.factorial(n) for n in range(K + 1 - kt))[None]
 
-def test_leibniz_matrix_vector_variant():
-    from numpy.polynomial import polynomial as P
-
-    rng = np.random.default_rng(41)
-    t0 = -0.21
-    a = polynomial_matrix(rng, 2, 2, 3)
-    b = polynomial_matrix(rng, 2, 1, 3)   # column vector of polynomials
-    prod = np.zeros((2, 1, 7))
-    for i in range(2):
-        acc = np.zeros(7)
-        for k in range(2):
-            conv = P.polymul(a[i, k], b[k, 0])
-            acc[: len(conv)] += conv
-        prod[i, 0] = acc
-    want = poly_derivs_at(prod, t0, 3)[3][:, 0]
-    a_derivs = poly_derivs_at(a, t0, 3)
-    b_derivs = [v[:, 0] for v in poly_derivs_at(b, t0, 3)]
-    got = leibniz_expand(3, a_derivs, b_derivs)
-    assert np.max(np.abs(got - want)) < 1e-12
-
-    with pytest.raises(ValueError):
-        leibniz_expand(2, a_derivs[:2], b_derivs)
+    Q = exact(0, 0)
+    stack = NodeDerivativeStack(Q=Q, A=Q[None], B=2 * beta * Q[None],
+                                S=beta * Q**2)
+    for l in range(1, M + 1):
+        stack.dxQ[l] = exact(0, l)
+    for l in range(1, M):
+        stack.dxA[l] = exact(0, l)[None]
+    for l in range(1, M - 1):
+        stack.dxB[l] = 2 * beta * exact(0, l)[None]
+        stack.dtB[l] = 2 * beta * exact(l, 0)[None]
+    dtq = taylor_terms(stack, matrix_c(stack, M, grid), M)
+    for k in range(1, M + 1):
+        want = exact(k, 0)
+        rel = np.max(np.abs(dtq[k] - want)) / np.max(np.abs(want))
+        assert rel < 5 * dt ** (5 - k), k
 
 
 def _wide_range(rng, shape):

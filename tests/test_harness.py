@@ -366,6 +366,19 @@ def test_cli_rejects_run_inputs_before_output(tmp_path, capsys, argv):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("system", ["euler-smooth", "shu-osher"])
+def test_cli_rejects_beta_for_preset_without_source(tmp_path, capsys, system):
+    """The Euler presets have no source coefficient, so --beta is refused
+    with one ``error:`` line, exit 2 and no output directory, not dropped."""
+    out_dir = tmp_path / "out"
+    assert cli_main(["solve", "--system", system, "--beta", "5", "--cells",
+                     "16", "--tout", "0.01", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "beta" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("text", ["{bad", "[1]", None])
 def test_cli_config_unreadable(tmp_path, capsys, text):
     """A config file that is not JSON, holds no JSON object or is missing

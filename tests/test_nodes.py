@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from aderfv.nodes import (SPACE_AXIS, TIME_AXIS, _apply, build_grid,
-                          gauss_legendre, newton_cotes_weights,
-                          space_derivative, space_nodes, time_derivative)
+                          gauss_legendre, monomial_derivatives,
+                          newton_cotes_weights, space_derivative, space_nodes,
+                          time_derivative)
 
 SQRT3 = math.sqrt(3.0)
 SQRT15 = math.sqrt(15.0)
@@ -151,14 +152,21 @@ TIME_ROWS = {
 
 @pytest.mark.parametrize("M", [2, 3, 4])
 def test_space_coefficients_match_published_rows(M):
+    """The rows map nodal samples to monomial coefficients, so with the
+    monomials' derivatives they give the derivative operators."""
     g = build_grid(M, 1.0, 1.0)
-    assert np.max(np.abs(g.space_coeff - np.array(SPACE_ROWS[M]))) < 1e-10
+    for l in range(M + 1):
+        rows = monomial_derivatives(g.xi, M, l) @ np.array(SPACE_ROWS[M])
+        assert np.max(np.abs(rows - g.space_diff[l])) < 1e-10
 
 
 @pytest.mark.parametrize("M", [2, 3, 4])
 def test_time_coefficients_match_published_rows(M):
     g = build_grid(M, 1.0, 1.0)
-    assert np.max(np.abs(g.time_coeff - np.array(TIME_ROWS[M]))) < 1e-10
+    for l in range(g.n_time):
+        rows = monomial_derivatives(g.tau, g.n_time - 1, l) \
+            @ np.array(TIME_ROWS[M])
+        assert np.max(np.abs(rows - g.time_diff[l])) < 1e-10
 
 
 @pytest.mark.parametrize("order,expected", [
@@ -196,7 +204,7 @@ def test_apply_matches_literal_node_sum(M):
     grid = build_grid(M, 0.1, 0.01)
     rng = np.random.default_rng(M)
     for leading in ((2,), (2, 2), (1,), (1, 1)):
-        values = rng.standard_normal(leading + (grid.n_space, grid.n_time, 5))
+        values = rng.standard_normal(leading + (len(grid.xi), grid.n_time, 5))
         for axis, mats in ((SPACE_AXIS, grid.space_diff),
                            (TIME_AXIS, grid.time_diff)):
             for mat in mats:
@@ -254,7 +262,7 @@ def test_derivatives_match_per_cell_products(M, m):
     n_cells = 37
     for leading in ((m,), (m, m)):
         values = rng.standard_normal(leading
-                                     + (grid.n_space, grid.n_time, n_cells))
+                                     + (len(grid.xi), grid.n_time, n_cells))
         cases = [(space_derivative, SPACE_AXIS, grid.space_diff, grid.dx, l)
                  for l in range(1, M + 1)]
         cases += [(time_derivative, TIME_AXIS, grid.time_diff, grid.dt, l)

@@ -134,11 +134,11 @@ def test_cell_source_matches_literal_quadrature(M):
     system = leveque_yee_system(-1000.0)
     grid = build_grid(M, 0.1, 0.02)
     rng = np.random.default_rng(M)
-    q = rng.random((1, grid.n_space, grid.n_time, 6))
+    q = rng.random((1, len(grid.xi), grid.n_time, 6))
     s_nodal = system.source(q)
     w_space = newton_cotes_weights(M + 1)
     want = np.zeros((1, 6))
-    for a in range(grid.n_space):
+    for a in range(len(grid.xi)):
         for j in range(grid.n_time):
             want += w_space[a] * grid.tau_weights[j] * s_nodal[:, a, j]
     got = cell_source(q, system, grid)
