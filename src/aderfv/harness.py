@@ -196,14 +196,13 @@ def build_config(case: PresetCase, order: int, cells: Optional[int] = None,
     )
 
 
-def field_interpolant(field_final: CellField, M: int,
-                      weno_config: Optional[WenoConfig] = None) -> Callable:
+def field_interpolant(field_final: CellField, M: int) -> Callable:
     """Piecewise-polynomial evaluator of a field's WENO reconstruction.
 
     Returns ``f(x, t=None) -> (..., m)``; used to turn a fine-mesh run into
     a reference solution for error measurement.
     """
-    coeffs = reconstruct(field_final, M, weno_config).coeffs.T   # (N, M+1, m)
+    coeffs = reconstruct(field_final, M).coeffs.T   # (N, M+1, m)
     x_left, dx, n = field_final.x_left, field_final.dx, field_final.n_cells
 
     def evaluate(x, t=None):

@@ -25,11 +25,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
-import os
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .predictor import PredictorConfig, PredictorError, predictor_solve
 from .systems import HyperbolicSystem, InadmissibleStateError
 from .weno import CellField, ReconstructionSet, WenoConfig, reconstruct_padded
 
-THREADS_ENV_VAR = "ADERFV_THREADS"
 MAX_STEPS = 2_000_000     # step budget of one run
 
 
@@ -62,32 +60,27 @@ class RunConfig:
     boundary: str = "periodic"
     weno: WenoConfig = field(default_factory=WenoConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    n_threads: Optional[int] = None
+    n_threads: int = 1
 
     def __post_init__(self):
         if self.M not in SUPPORTED_M:
-            raise ValueError(f"unsupported M={self.M} (orders 2..5)")
+            raise ValueError(f"unsupported order {self.M + 1} (orders 2..5)")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError("CFL number must lie in (0, 1)")
+        if not all(map(math.isfinite, (self.t_out, self.x_left, self.x_right))):
+            raise ValueError("t_out and the domain ends must be finite")
         if self.t_out < 0.0:
             raise ValueError("t_out must be non-negative")
         if self.x_right <= self.x_left:
             raise ValueError("empty spatial domain")
         if self.n_cells < 3:
             raise ValueError("need at least 3 cells")
+        if self.n_threads < 1:
+            raise ValueError(f"need at least 1 thread, not {self.n_threads}")
 
     @property
     def dx(self) -> float:
         return (self.x_right - self.x_left) / self.n_cells
-
-    def thread_count(self) -> int:
-        if self.n_threads is not None:
-            return max(1, self.n_threads)
-        text = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            return max(1, int(text))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR}={text!r} is not an integer") from None
 
 
 def rusanov_flux(q_left: np.ndarray, q_right: np.ndarray,
@@ -228,9 +221,11 @@ def two_state_nodes(field: CellField, system: HyperbolicSystem,
 
 
 @functools.cache
-def _pool(n_workers: int) -> ThreadPoolExecutor:
+def _pool(n_workers: int):
     """One worker pool per size, kept for the life of the process, so a
-    step starts no threads (and maps no new thread stacks)."""
+    step starts no threads (and maps no new thread stacks).  Imported here,
+    so a one-thread run never loads ``concurrent.futures``."""
+    from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(max_workers=n_workers)
 
 
@@ -242,7 +237,7 @@ def _predict(config: RunConfig, W_nodal: np.ndarray, dxW: np.ndarray,
     so the values are bitwise identical for any thread count.  Returns the
     residual trace, per sweep the largest entry of any block that ran it,
     and the sum of the blocks' unverified cells."""
-    n_threads = config.thread_count()
+    n_threads = config.n_threads
     if cells.size < 2 * n_threads:      # too few cells to share
         n_threads = 1
     blocks = [cells[i * cells.size // n_threads:(i + 1) * cells.size // n_threads]

@@ -173,9 +173,9 @@ def nonlinear_system(beta: float = -1.0) -> HyperbolicSystem:
     )
 
 
-def _newton_bisect(f, df, lo, hi, tol: float = 1e-12, max_iter: int = 100,
-                   label: str = "root"):
-    """Vectorized safeguarded Newton iteration on a sign-changing bracket."""
+def _newton_bisect(f, df, lo, hi, label: str):
+    """Vectorized safeguarded Newton iteration on a sign-changing bracket,
+    run until |f| <= 1e-12 at every point, for at most 100 iterations."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     flo, fhi = f(lo), f(hi)
@@ -186,9 +186,9 @@ def _newton_bisect(f, df, lo, hi, tol: float = 1e-12, max_iter: int = 100,
     pos_end = np.where(swap, lo, hi)
     x = 0.5 * (neg_end + pos_end)
     done = np.zeros(np.shape(x), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(100):
         fx = f(x)
-        done = done | (np.abs(fx) <= tol)
+        done = done | (np.abs(fx) <= 1e-12)
         if done.all():
             return x
         is_neg = fx <= 0.0
@@ -200,7 +200,7 @@ def _newton_bisect(f, df, lo, hi, tol: float = 1e-12, max_iter: int = 100,
         inside = np.isfinite(cand) & ((cand - neg_end) * (cand - pos_end) < 0.0)
         x = np.where(done, x, np.where(inside, cand, 0.5 * (neg_end + pos_end)))
     raise RootFindError(
-        f"{label}: no convergence after {max_iter} iterations "
+        f"{label}: no convergence after 100 iterations "
         f"(max residual {np.max(np.abs(f(x))):.3e})")
 
 

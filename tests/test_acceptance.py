@@ -18,8 +18,7 @@ from aderfv.ck import NodeDerivativeStack, binom, m_vector, matrix_c, \
 from aderfv.harness import (build_config, convergence_study, error_norms,
                             field_interpolant, make_case, shu_osher_reference)
 from aderfv.nodes import build_grid, newton_cotes_weights, space_nodes
-from aderfv.scheme import THREADS_ENV_VAR, cfl_timestep, project_initial, \
-    run, step
+from aderfv.scheme import cfl_timestep, project_initial, run, step
 from aderfv.systems import euler_primitive_to_conserved, euler_system, \
     leveque_yee_system, linear_system
 from aderfv.weno import CellField
@@ -367,7 +366,7 @@ def test_criterion_8_leibniz_property():
                    f"max deviation {worst:.1e}")
 
 
-def test_criterion_9_structural_invariants(monkeypatch):
+def test_criterion_9_structural_invariants():
     """Conservation, equilibrium fixed point, thread-count determinism."""
     # periodic conservation with zero source over a whole run
     system = linear_system(1.0, 0.0)
@@ -398,15 +397,12 @@ def test_criterion_9_structural_invariants(monkeypatch):
              and np.max(np.abs(new_eu.averages - q0)) < 1e-14)
 
     # byte-identical convergence tables across thread counts (CPU excluded)
-    def tables():
-        rep = convergence_study(make_case("linear"), 3, [8, 16], t_out=0.2)
+    def tables(n_threads):
+        rep = convergence_study(make_case("linear"), 3, [8, 16], t_out=0.2,
+                                n_threads=n_threads)
         return "\n".join(rep.csv_lines(with_cpu=False))
 
-    monkeypatch.setenv(THREADS_ENV_VAR, "1")
-    t1 = tables()
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    t3 = tables()
-    ok_thread = t1 == t3
+    ok_thread = tables(1) == tables(3)
 
     ok = ok_cons and ok_eq and ok_thread
     assert _report(

@@ -132,18 +132,15 @@ def test_field_interpolant_reproduces_reconstruction():
     assert interp(np.array([[0.1, 0.2], [0.3, 0.4]])).shape == (2, 2, 2)
 
 
-def test_convergence_tables_deterministic_across_thread_counts(monkeypatch):
-    from aderfv.scheme import THREADS_ENV_VAR
-
-    def table_text():
-        rep = convergence_study(make_case("linear"), 3, [8, 16], t_out=0.1)
+def test_convergence_tables_deterministic_across_thread_counts():
+    def table_text(n_threads):
+        rep = convergence_study(make_case("linear"), 3, [8, 16], t_out=0.1,
+                                n_threads=n_threads)
         return rep.format_table(with_cpu=False), "\n".join(
             rep.csv_lines(with_cpu=False))
 
-    monkeypatch.setenv(THREADS_ENV_VAR, "1")
-    t1, c1 = table_text()
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    t3, c3 = table_text()
+    t1, c1 = table_text(1)
+    t3, c3 = table_text(3)
     assert t1 == t3
     assert c1 == c3
 
@@ -160,21 +157,6 @@ def test_cli_solve_writes_profile(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "solution" in out
     assert (tmp_path / "solution.dat").exists()
-
-
-def test_cli_rejects_non_integer_thread_count(tmp_path, capsys,
-                                               monkeypatch):
-    """A thread count that is not an integer stops the run with an error
-    naming the environment variable and its value."""
-    from aderfv.scheme import THREADS_ENV_VAR
-    monkeypatch.setenv(THREADS_ENV_VAR, "two")
-    rc = cli_main(["solve", "--system", "linear", "--order", "2",
-                   "--cells", "16", "--tout", "0.05",
-                   "--out", str(tmp_path)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert f"{THREADS_ENV_VAR}='two'" in err
-    assert not (tmp_path / "solution.dat").exists()
 
 
 def test_cli_converge_parses_ranges(tmp_path):
@@ -353,11 +335,14 @@ def test_cli_converge_rejects_unsupported_orders(tmp_path, capsys, orders,
     ["converge", "--orders", "5..2", "--meshes", "8,16"],
     ["converge", "--orders", "2", "--meshes", "8..4"],
     ["converge", "--orders", "2", "--meshes", ","],
+    ["solve", "--tout", "nan"],
+    ["solve", "--tout", "inf"],
 ])
 def test_cli_rejects_run_inputs_before_output(tmp_path, capsys, argv):
     """An input that some run of the command would refuse (too few cells,
-    CFL or output time out of range) and an --orders or --meshes list with
-    no entry give one ``error:`` line, exit 2 and no output directory."""
+    CFL out of range, output time negative or not finite) and an --orders
+    or --meshes list with no entry give one ``error:`` line, exit 2 and no
+    output directory."""
     out_dir = tmp_path / "out"
     assert cli_main([argv[0], "--system", "linear", *argv[1:],
                      "--out", str(out_dir)]) == 2

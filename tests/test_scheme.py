@@ -1,13 +1,18 @@
 """Finite-volume update: fluxes, source quadrature, CFL, marching loop."""
 import dataclasses
 import math
+import os
 import platform
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aderfv
 from aderfv import cli, predictor, scheme
 from aderfv.harness import build_config, make_case
 from aderfv.nodes import build_grid, newton_cotes_weights
@@ -188,16 +193,33 @@ def make_config(system, initial, order, cells, **kw):
 def test_run_config_validation():
     system = linear_system(1.0, -1.0)
     init = lambda x: system.exact_solution(x, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unsupported order 6"):
         make_config(system, init, 6, 16)
     with pytest.raises(ValueError):
         make_config(system, init, 3, 16, cfl=1.5)
-    with pytest.raises(ValueError):
-        make_config(system, init, 3, 16, t_out=-1.0)
+    for t_out in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_out"):
+            make_config(system, init, 3, 16, t_out=t_out)
     with pytest.raises(ValueError):
         make_config(system, init, 3, 2)
-    with pytest.raises(ValueError):
-        make_config(system, init, 3, 16, x_right=-1.0)
+    for ends in ({"x_right": -1.0}, {"x_left": np.nan}, {"x_right": np.inf},
+                 {"x_left": -np.inf}):
+        with pytest.raises(ValueError):
+            make_config(system, init, 3, 16, **ends)
+    for n_threads in (0, -1):
+        with pytest.raises(ValueError, match="thread"):
+            make_config(system, init, 3, 16, n_threads=n_threads)
+
+
+def test_import_loads_no_thread_pool():
+    """Only a run with more than one thread imports the thread pool."""
+    src = Path(aderfv.__file__).resolve().parent.parent
+    code = ("import sys, aderfv; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_project_initial_gauss_accuracy():
@@ -582,21 +604,6 @@ def test_predictor_error_from_run_names_step_and_cell(monkeypatch):
     assert "in step 3 " in str(err.value)
     cells = err.value.nodes[:, 0]
     assert cells.min() >= -1 and cells.max() <= n
-
-
-def test_thread_count_env_variable(monkeypatch):
-    from aderfv.scheme import THREADS_ENV_VAR
-    system = linear_system(1.0, -1.0)
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    cfg = make_config(system, lambda x: system.exact_solution(x, 0.0), 2, 16,
-                      t_out=0.02)
-    assert cfg.thread_count() == 3
-    res = run(cfg)
-    monkeypatch.setenv(THREADS_ENV_VAR, "1")
-    res1 = run(cfg)
-    assert np.array_equal(res.field.averages, res1.field.averages)
-    monkeypatch.setenv(THREADS_ENV_VAR, "0")    # below 1: one thread
-    assert cfg.thread_count() == 1
 
 
 def stiff_front(beta, order, offset=0.0):
