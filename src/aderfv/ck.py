@@ -27,12 +27,18 @@ whole grid of space-time nodes times cells;
 since it differentiates across the time nodes on ``nodes.TIME_AXIS``.
 
 All m x m algebra of the solver goes through the batched helpers
-``_matvec``, ``_matmul``, ``_solve`` and ``_det``.  ``_matvec`` and
-``_matmul`` sum the m products of contiguous component slabs,
-``mat[:, k] * vec[k]`` and ``a[:, k, None] * b[k]``, over all nodes at once
-(at m = 1, scalar laws, the sum is its one product).  ``_solve`` and
-``_det`` divide and take the entry at m = 1, and call ``np.linalg`` on the
-matrix axes moved last otherwise.
+``_matvec``, ``_matmul``, ``_solve`` and ``_det``.  ``_matvec`` sums the m
+products of contiguous component slabs, ``mat[:, k] * vec[k]``, over all
+nodes at once (at m = 1, scalar laws, the sum is its one product); its
+temporaries are only vector-sized, so it keeps that loop.  ``_matmul`` is
+one ``np.einsum`` over k, which adds the same m products in the same order
+(its sum starts from +0, so an exact zero may lose its sign) but writes
+straight into its output, where a slab sum would make a matrix-sized
+temporary per product.  At m = 1 there is no sum to fuse, and einsum's
+per-call setup would slow the scalar laws, so ``_matmul`` is the
+elementwise product there.  ``_solve`` and ``_det`` divide and take the
+entry at m = 1, and call ``np.linalg`` on the matrix axes moved last
+otherwise.
 """
 from __future__ import annotations
 
@@ -62,10 +68,17 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched m x m matrix product of (m, m, ...) arrays."""
-    out = a[:, 0, None] * b[0]
-    for k in range(1, a.shape[0]):
-        out += a[:, k, None] * b[k]
-    return out
+    if a.shape[0] == 1:
+        return a * b
+    return np.einsum("ik...,kj...->ij...", a, b)
+
+
+def _is_zero(a: np.ndarray) -> bool:
+    """Whether every entry of a is 0, reading a broadcast (stride-0) axis
+    once: a constant Jacobian given as a view is checked in O(m**2)."""
+    a = np.asarray(a)
+    return not a[tuple(0 if stride == 0 and n else slice(None)
+                       for stride, n in zip(a.strides, a.shape))].any()
 
 
 def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -108,7 +121,7 @@ class NodeDerivativeStack:
         self.dxB = {0: B}
         self.dtB = {0: B}
         self.S = S
-        self.b_is_zero = not np.asarray(B).any()
+        self.b_is_zero = _is_zero(B)
 
     @property
     def Q(self) -> np.ndarray:
@@ -148,17 +161,19 @@ def matrix_c(stack: NodeDerivativeStack, M: int, grid: NodeGrid) -> dict:
     obtained by differentiating the interpolant of nodal C values across the
     time nodes (``TIME_AXIS`` of the (m, m, n_S, n_T, cells) arrays) and
     scaling by dt**-1.  The loop reads every D(p, q), 2 <= p <= M,
-    1 <= q <= p, so they are all built first.
+    1 <= q <= p, so they are all built first.  Every D(p, p) is -A, since
+    its B factor binom(p-2, -1) vanishes, so they and C(1,1) are one array.
     """
-    D = {(p, q): matrix_d(p, q, stack)
+    minus_a = -stack.A
+    D = {(p, q): minus_a if q == p else matrix_d(p, q, stack)
          for p in range(2, M + 1) for q in range(1, p + 1)}
-    C = {(1, 1): -stack.A}
+    C = {(1, 1): minus_a}
     for k in range(2, M + 1):
         C[k, k] = _matmul(C[k - 1, k - 1], D[k, k])
         for l in range(1, k):
             acc = time_derivative(C[k - 1, l], 1, grid, axis=TIME_AXIS)
             for m in range(max(l - 1, 1), k):
-                acc = acc + _matmul(C[k - 1, m], D[m + 1, l])
+                acc += _matmul(C[k - 1, m], D[m + 1, l])
             C[k, l] = acc
     return C
 

@@ -163,7 +163,7 @@ def space_derivative(values: np.ndarray, l: int, grid: NodeGrid,
         return np.zeros_like(values)
     out = _apply(grid.space_diff[l], values, axis)
     if l > 0:
-        out = out / grid.dx**l
+        out /= grid.dx**l
     return out
 
 
@@ -183,7 +183,9 @@ def time_derivative(values: np.ndarray, l: int, grid: NodeGrid,
         raise ValueError("time derivatives need at least two time nodes (M >= 2)")
     if l >= grid.n_time:
         return np.zeros_like(values)
-    return _apply(grid.time_diff[l], values, axis) / grid.dt**l
+    out = _apply(grid.time_diff[l], values, axis)
+    out /= grid.dt**l
+    return out
 
 
 @lru_cache(maxsize=None)

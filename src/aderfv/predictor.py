@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ck import (NodeDerivativeStack, _det, _matmul, _matvec, _solve,
-                 matrix_c, taylor_terms)
+from .ck import (NodeDerivativeStack, _det, _is_zero, _matmul, _matvec,
+                 _solve, matrix_c, taylor_terms)
 from .nodes import (CELL_AXIS, SPACE_AXIS, TIME_AXIS, NodeGrid,
                     space_derivative, time_derivative)
 from .systems import HyperbolicSystem
@@ -84,7 +84,7 @@ def initial_guess(system: HyperbolicSystem, W_nodal: np.ndarray,
     a_w = system.flux_jacobian(W_nodal)
     b_w = system.source_jacobian(W_nodal)
     adv = _matvec(a_w, dxW)
-    if not b_w.any():
+    if _is_zero(b_w):
         forcing = system.source(W_nodal) - adv
         return W_nodal[:, :, None] + tau * forcing[:, :, None]
     affine = system.source(W_nodal) - _matvec(b_w, W_nodal)
@@ -234,7 +234,8 @@ def predictor_solve(system: HyperbolicSystem, W_nodal: np.ndarray,
         C = matrix_c(stack, M, grid)
         q_new, cell_res = newton_sweep(stack, C, w, grid, cells)
         residuals.append(float(cell_res.max()))
-        updating = cell_res > cfg.residual_tol
+        # NaN compares false, so a NaN residual keeps its cell updating
+        updating = ~(cell_res <= cfg.residual_tol)
         # a cell that meets the tolerance leaves with its incoming iterate
         out[..., cells[~updating]] = q[..., ~updating]
         keep = updating.nonzero()[0]

@@ -62,7 +62,8 @@ class HyperbolicSystem:
 
 
 def _bcast(values: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Constant (m[, m]) values at every node of the state batch q."""
+    """Constant (m[, m]) values at every node of the state batch q, as a
+    read-only broadcast view (no array of the batch's size is filled)."""
     nodes = q.shape[1:]
     return np.broadcast_to(values.reshape(values.shape + (1,) * len(nodes)),
                            values.shape + nodes)
@@ -314,6 +315,7 @@ def euler_system(gamma: float = 1.4) -> HyperbolicSystem:
     if gamma <= 1.0:
         raise ValueError("euler_system requires gamma > 1")
     gm1 = gamma - 1.0
+    zero_source, zero_jacobian = np.zeros(3), np.zeros((3, 3))
 
     def _uep(q):
         rho, mom, en = q
@@ -359,9 +361,9 @@ def euler_system(gamma: float = 1.4) -> HyperbolicSystem:
         name="euler",
         m=3,
         flux=flux,
-        source=lambda q: np.zeros_like(q),
+        source=lambda q: _bcast(zero_source, q),
         flux_jacobian=flux_jacobian,
-        source_jacobian=lambda q: np.zeros((3,) + q.shape),
+        source_jacobian=lambda q: _bcast(zero_jacobian, q),
         eigenvalues=eigenvalues,
         exact_solution=exact,
         admissible=admissible,

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from numpy.polynomial import polynomial as P
 
-from aderfv.ck import (NodeDerivativeStack, _det, _matmul, _matvec, _solve,
-                       binom, m_vector, matrix_c, matrix_d, taylor_terms)
+from aderfv.ck import (NodeDerivativeStack, _det, _is_zero, _matmul,
+                       _matvec, _solve, binom, m_vector, matrix_c, matrix_d,
+                       taylor_terms)
 from aderfv.nodes import build_grid
 from aderfv.predictor import residual_and_jacobian
 
@@ -531,17 +532,19 @@ def test_scalar_small_matrix_algebra_matches_linalg():
 def test_small_matrix_algebra_sums_component_slabs():
     """At m = 2, 3 ``_matvec`` and ``_matmul`` are bitwise the sums over k
     of ``mat[:, k] * vec[k]`` and ``a[:, k, None] * b[k]``, also with one
-    matrix broadcast over the trailing node axes.  They sum the same m
-    products as ``@`` in another order, so they agree with it within the
-    rounding bound 2 m eps sum_k |a_ik| |b_kj| (where entries cancel, the
-    two can differ by many ulps of the result).  ``_solve`` and ``_det``
-    are bitwise LAPACK on the moved axes."""
+    matrix broadcast over the trailing node axes, and also for one cell
+    (the einsum of ``_matmul`` may then iterate the axes in another order,
+    but must not reorder the sum over k).  They sum the same m products as
+    ``@`` in another order, so they agree with it within the rounding bound
+    2 m eps sum_k |a_ik| |b_kj| (where entries cancel, the two can differ
+    by many ulps of the result).  ``_solve`` and ``_det`` are bitwise
+    LAPACK on the moved axes."""
     for m in (2, 3):
-        _check_slab_algebra(m, np.random.default_rng(12 + m))
+        for shape in ((6, 2, 5), (6, 2, 1)):
+            _check_slab_algebra(m, shape, np.random.default_rng(12 + m))
 
 
-def _check_slab_algebra(m, rng):
-    shape = (6, 2, 5)
+def _check_slab_algebra(m, shape, rng):
     a = rng.standard_normal((m, m) + shape)
     b = rng.standard_normal((m, m) + shape)
     v = rng.standard_normal((m,) + shape)
@@ -561,6 +564,19 @@ def _check_slab_algebra(m, rng):
     assert np.array_equal(_solve(a, v), np.moveaxis(solved, -1, 0))
     assert np.array_equal(_det(a), np.linalg.det(moved))
     singular = a.copy()
-    singular[..., 3, 1, 4] = 0.0
+    singular[..., 3, 1, -1] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
         _solve(singular, v)
+
+
+def test_is_zero_reads_broadcast_axes_once():
+    """``_is_zero`` agrees with ``not a.any()`` on filled arrays, broadcast
+    views and empty batches, and finds a lone nonzero on a filled axis."""
+    z = np.zeros((3, 3, 3, 2, 5))
+    eye = np.broadcast_to(np.eye(3)[:, :, None, None, None], z.shape)
+    column = np.broadcast_to(z[..., :1], z.shape)
+    for a in (z, eye, column, z[..., :0], np.zeros(()), np.ones(())):
+        assert _is_zero(a) == (not a.any())
+    z[1, 2, 1, 0, 4] = 1e-300
+    assert not _is_zero(z)
+    assert _is_zero(np.broadcast_to(z[..., :1], z.shape))

@@ -1,5 +1,6 @@
 """Space-time predictor: starting guess, stacks, Newton sweeps, accuracy."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,7 +379,7 @@ def _full_batch_solve(system, w_nodal, dxw, grid, tol):
         C = matrix_c(stack, grid.M, grid)
         q_new, cell_res = newton_sweep(stack, C, w_nodal, grid)
         residuals.append(float(cell_res.max()))
-        active = active & (cell_res > tol)
+        active = active & ~(cell_res <= tol)
         q = np.where(active, q_new, q)
     return q, residuals, int(active.sum())
 
@@ -443,6 +444,67 @@ def test_predictor_matches_full_batch_oracle(shu_osher_field):
             assert len(trace) == 1 and unverified == 0
         if name == "no cells":
             assert trace == [] and q.shape == (1, 4, grid.n_time, 0)
+
+
+def test_nan_residual_keeps_its_cell_updating():
+    """A NaN residual (rho = 0 at one node) never meets the tolerance: its
+    cell stays updating through sweep M and is counted as unverified, as
+    the full-batch oracle counts it.  The constant cells around it leave
+    in sweep 1 and stay finite."""
+    system = euler_system(1.4)
+    grid = build_grid(2, 0.1, 0.01)
+    q0 = euler_primitive_to_conserved(np.array([1.0, 0.5, 1.0]), 1.4)
+    w = np.broadcast_to(q0[:, None, None], (3, 3, 5)).copy()
+    w[0, 1, 2] = 0.0
+    dxw = np.zeros_like(w)
+    tol = PredictorConfig().residual_tol
+    with np.errstate(all="ignore"):
+        q, trace, unverified = predictor_solve(system, w, dxw, grid)
+        _, trace_ref, unverified_ref = _full_batch_solve(system, w, dxw,
+                                                         grid, tol)
+    assert len(trace) == len(trace_ref) == grid.M
+    assert np.isnan(trace).all() and np.isnan(trace_ref).all()
+    assert unverified == unverified_ref == 1
+    assert not np.isfinite(q[..., 2]).all()
+    assert np.isfinite(np.delete(q, 2, axis=-1)).all()
+
+
+def _traced_peak(fn):
+    """Peak bytes allocated while fn runs, above those held at its start,
+    with fn's result still alive."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - start
+
+
+@pytest.mark.parametrize("M, stacks_max, c_max", [(2, 3.0, 5.5),
+                                                  (4, 5.5, 17.5)])
+def test_sweep_working_set_on_euler_stack(M, stacks_max, c_max):
+    """The arrays a sweep holds at once on a 400-cell Euler stack, counted
+    in (3, 3, n_S, n_T, 400) Jacobians.  ``matrix_c`` keeps its C and D
+    matrices, with one -A for C(1,1) and every D(k,k), and sums in place;
+    ``populate_stacks`` holds A, its derivatives and the Q derivatives, with
+    the zero source and source Jacobian as views and each derivative scaled
+    in place."""
+    system = euler_system(1.4)
+    n = 400
+    grid = build_grid(M, 1.0 / n, 0.4 / n)
+    x = (np.arange(n) + 0.5 + grid.xi[:, None]) / n
+    rho = 1.0 + 0.2 * np.sin(2 * np.pi * x)
+    q = np.stack([rho, rho, 2.5 + 0.5 * rho])[:, :, None] \
+        * (1.0 + 0.01 * grid.tau[:, None])
+    full = q[0].nbytes * 9
+    stack = populate_stacks(system, q, grid)
+    assert _traced_peak(lambda: populate_stacks(system, q, grid)) \
+        <= stacks_max * full
+    assert _traced_peak(lambda: matrix_c(stack, M, grid)) <= c_max * full
 
 
 @pytest.mark.parametrize("data", ["stiff pulse", "shu-osher"])
