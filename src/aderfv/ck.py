@@ -139,12 +139,10 @@ class NodeDerivativeStack:
 def matrix_d(l: int, k: int, stack: NodeDerivativeStack) -> np.ndarray:
     """Matrix D(l, k) = C(l-2, l-1-k) Bx^(l-1-k) - C(l-1, l-k) Ax^(l-k).
 
-    Vanishing binomial factors suppress the corresponding term entirely, so
-    negative derivative orders are never touched (D(2,2) = -A,
-    D(2,1) = B - Ax).
+    The caller passes l >= 2 and 1 <= k <= l.  Vanishing binomial factors
+    suppress the corresponding term entirely, so negative derivative orders
+    are never touched (D(2,2) = -A, D(2,1) = B - Ax).
     """
-    if l < 2 or not 1 <= k <= l:
-        raise ValueError(f"matrix_d requires l >= 2 and 1 <= k <= l, got ({l},{k})")
     cb = 0 if stack.b_is_zero else binom(l - 2, l - 1 - k)
     ca = binom(l - 1, l - k)     # nonzero for 1 <= k <= l
     if cb:

@@ -19,9 +19,11 @@ import numpy as np
 
 from .harness import (PRESET_NAMES, build_config, convergence_study,
                       field_interpolant, make_case, shu_osher_reference)
+from .nodes import SUPPORTED_M
 from .scheme import run
+from .weno import BOUNDARY_RULES
 
-ORDERS = (2, 3, 4, 5)
+ORDERS = tuple(M + 1 for M in SUPPORTED_M)
 
 
 def _parse_int_list(text: str, doubling: bool = False):
@@ -57,7 +59,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--cfl", type=float, help="CFL number (preset default if omitted)")
     p.add_argument("--tout", type=float, help="output time")
     p.add_argument("--beta", type=float, help="source coefficient override")
-    p.add_argument("--bc", choices=("periodic", "transmissive"),
+    p.add_argument("--bc", choices=BOUNDARY_RULES,
                    help="boundary rule override")
     p.add_argument("--out", default="aderfv-out",
                    help="output directory (default aderfv-out)")

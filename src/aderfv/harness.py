@@ -9,6 +9,7 @@ log2 ratios of errors between consecutive meshes of ratio 2.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -220,17 +221,11 @@ def field_interpolant(field_final: CellField, M: int) -> Callable:
     return evaluate
 
 
-_REFERENCE_CACHE: dict = {}
-
-
-def shu_osher_reference(cells: int = 2000, order: int = 3) -> CellField:
-    """Fine-mesh self-run used as the Shu-Osher reference profile (cached)."""
-    key = (cells, order)
-    if key not in _REFERENCE_CACHE:
-        case = make_case("shu-osher")
-        result = run(build_config(case, order=order, cells=cells))
-        _REFERENCE_CACHE[key] = result.field
-    return _REFERENCE_CACHE[key]
+@functools.cache
+def shu_osher_reference() -> CellField:
+    """Shu-Osher reference profile: a self-run on 2000 cells at order 3,
+    computed once per process."""
+    return run(build_config(make_case("shu-osher"), order=3, cells=2000)).field
 
 
 # ----------------------------------------------------------------------------

@@ -36,7 +36,7 @@ TIME_AXIS = -2
 CELL_AXIS = -1
 
 
-def gauss_legendre(n: int, lo: float = 0.0, hi: float = 1.0):
+def gauss_legendre(n: int, lo: float, hi: float):
     """Gauss-Legendre nodes and weights on [lo, hi], nodes ascending."""
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (hi - lo)
@@ -45,8 +45,6 @@ def gauss_legendre(n: int, lo: float = 0.0, hi: float = 1.0):
 
 def space_nodes(M: int) -> np.ndarray:
     """Equidistant nodes -1/2 + (m-1)/M, m = 1..M+1, on the reference cell."""
-    if M not in SUPPORTED_M:
-        raise ValueError(f"unsupported polynomial degree M={M}; supported: {SUPPORTED_M}")
     return -0.5 + np.arange(M + 1) / M
 
 
@@ -82,8 +80,7 @@ def _space_operators(M: int):
 
 @lru_cache(maxsize=None)
 def _time_operators(M: int):
-    n_t = max(M, 1)
-    tau, wts = gauss_legendre(n_t, 0.0, 1.0)
+    tau, wts = gauss_legendre(M, 0.0, 1.0)
     return tau, wts, _derivative_matrices(tau)
 
 
@@ -111,11 +108,7 @@ class NodeGrid:
 
 
 def build_grid(M: int, dx: float, dt: float) -> NodeGrid:
-    """Assemble the node grid and derivative operators for degree M."""
-    if M not in SUPPORTED_M:
-        raise ValueError(f"unsupported polynomial degree M={M}; supported: {SUPPORTED_M}")
-    if dx <= 0.0 or dt <= 0.0:
-        raise ValueError("dx and dt must be positive")
+    """Node grid and derivative operators for M in SUPPORTED_M, dx, dt > 0."""
     xi, sdiff = _space_operators(M)
     tau, wts, tdiff = _time_operators(M)
     return NodeGrid(
@@ -154,16 +147,11 @@ def space_derivative(values: np.ndarray, l: int, grid: NodeGrid,
     """l-th spatial derivative of nodal samples, evaluated at every node.
 
     ``values`` carries the n_S node samples along ``axis``; the physical
-    factor dx**-l is applied.  Orders beyond the interpolation degree M are
-    exactly zero.
+    factor dx**-l is applied.  The caller passes 0 <= l <= M, the
+    interpolation degree (the predictor asks for 1 <= l <= M).
     """
-    if l < 0:
-        raise ValueError("derivative order must be non-negative")
-    if l > grid.M:
-        return np.zeros_like(values)
     out = _apply(grid.space_diff[l], values, axis)
-    if l > 0:
-        out /= grid.dx**l
+    out /= grid.dx**l
     return out
 
 
@@ -171,18 +159,9 @@ def time_derivative(values: np.ndarray, l: int, grid: NodeGrid,
                     axis: int = 0) -> np.ndarray:
     """l-th temporal derivative of nodal samples at every time node.
 
-    The physical factor dt**-l is applied.  Requires M >= 2 for l >= 1 (a
-    single time node carries no derivative information); orders beyond the
-    interpolation degree n_T - 1 are zero.
+    The physical factor dt**-l is applied.  The caller passes 1 <= l < n_T,
+    so M >= 2: a single time node carries no derivative information.
     """
-    if l < 0:
-        raise ValueError("derivative order must be non-negative")
-    if l == 0:
-        return np.asarray(values)
-    if grid.n_time < 2:
-        raise ValueError("time derivatives need at least two time nodes (M >= 2)")
-    if l >= grid.n_time:
-        return np.zeros_like(values)
     out = _apply(grid.time_diff[l], values, axis)
     out /= grid.dt**l
     return out

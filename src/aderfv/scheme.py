@@ -36,7 +36,8 @@ from .nodes import (NodeGrid, SUPPORTED_M, build_grid, gauss_legendre,
                     newton_cotes_weights)
 from .predictor import PredictorConfig, PredictorError, predictor_solve
 from .systems import HyperbolicSystem, InadmissibleStateError
-from .weno import CellField, ReconstructionSet, WenoConfig, reconstruct_padded
+from .weno import (BOUNDARY_RULES, CellField, ReconstructionSet, WenoConfig,
+                   is_int, reconstruct_padded)
 
 MAX_STEPS = 2_000_000     # step budget of one run
 
@@ -63,6 +64,9 @@ class RunConfig:
     n_threads: int = 1
 
     def __post_init__(self):
+        counts = (self.M, self.n_cells, self.n_threads)
+        if not all(map(is_int, counts)):
+            raise ValueError(f"M, n_cells, n_threads must be ints: {counts}")
         if self.M not in SUPPORTED_M:
             raise ValueError(f"unsupported order {self.M + 1} (orders 2..5)")
         if not 0.0 < self.cfl < 1.0:
@@ -75,6 +79,8 @@ class RunConfig:
             raise ValueError("empty spatial domain")
         if self.n_cells < 3:
             raise ValueError("need at least 3 cells")
+        if self.boundary not in BOUNDARY_RULES:
+            raise ValueError(f"boundary must be one of {BOUNDARY_RULES}")
         if self.n_threads < 1:
             raise ValueError(f"need at least 1 thread, not {self.n_threads}")
 

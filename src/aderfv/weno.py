@@ -20,6 +20,7 @@ product per component.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +29,11 @@ import numpy as np
 from .nodes import SUPPORTED_M, monomial_derivatives
 
 BOUNDARY_RULES = ("periodic", "transmissive")
+
+
+def is_int(value) -> bool:
+    """Whether value is an integer (numpy's too); a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -57,18 +63,14 @@ class CellField:
 
     def __post_init__(self):
         self.averages = np.atleast_2d(np.asarray(self.averages, dtype=float))
-        if self.n_cells < 3:
-            raise ValueError("need at least 3 cells")
+        if not is_int(self.n_cells) or self.n_cells < 3:
+            raise ValueError(f"need an integer >= 3 cells: {self.n_cells!r}")
         if self.dx <= 0.0:
             raise ValueError("dx must be positive")
         if self.boundary not in BOUNDARY_RULES:
             raise ValueError(f"boundary must be one of {BOUNDARY_RULES}")
         if self.averages.shape[0] != self.n_cells:
             raise ValueError("averages must have one row per cell")
-
-    @property
-    def m(self) -> int:
-        return self.averages.shape[1]
 
     def cell_centers(self) -> np.ndarray:
         return self.x_left + (np.arange(self.n_cells) + 0.5) * self.dx
@@ -128,15 +130,13 @@ def reconstruct_padded(avg_padded: np.ndarray, M: int,
                        config: WenoConfig | None = None) -> np.ndarray:
     """WENO coefficients for the cells of a padded average array.
 
-    ``avg_padded`` has shape (N + 2M, m); the M leading/trailing rows feed
-    the widest stencils of the N cells of interest.  Returns coefficients
-    with shape (m, M+1, N).
+    ``avg_padded`` has shape (N + 2M, m), N >= 1 and M in ``SUPPORTED_M``;
+    the M leading/trailing rows feed the widest stencils of the N cells of
+    interest.  Returns coefficients with shape (m, M+1, N).
     """
     cfg = config or WenoConfig()
     maps, osc = _stencil_tables(M)
     n_out = avg_padded.shape[0] - 2 * M
-    if n_out < 1:
-        raise ValueError("padded array too short for the stencil width")
 
     # The 2M+1 shifted windows, flattened to (2M+1, N*m): a stencil's window
     # averages are then a contiguous slice of rows, and each of its products
@@ -170,11 +170,9 @@ class ReconstructionSet:
         A 1-D array of G points gives the component-first (m, G, N), the
         layout of the predictor's node arrays; scalar xi gives (m, N).
         Derivatives are in reference coordinates (physical ones carry the
-        caller-applied factor dx**-l); orders beyond the degree are exactly
-        zero.
+        caller-applied factor dx**-l); the caller passes l >= 0, and orders
+        beyond the degree are exactly zero.
         """
-        if l < 0:
-            raise ValueError("derivative order must be non-negative")
         basis = monomial_derivatives(np.atleast_1d(np.asarray(xi, dtype=float)),
                                      self.M, l)
         out = basis @ self.coeffs       # one product per component
@@ -184,7 +182,7 @@ class ReconstructionSet:
 def reconstruct(field: CellField, M: int,
                 config: WenoConfig | None = None) -> ReconstructionSet:
     """Per-cell WENO reconstruction of a field (one polynomial per cell)."""
-    if M not in SUPPORTED_M:
-        raise ValueError(f"unsupported polynomial degree M={M}")
+    if not is_int(M) or M not in SUPPORTED_M:
+        raise ValueError(f"unsupported polynomial degree M={M!r}")
     padded = field.extended(M)
     return ReconstructionSet(M, reconstruct_padded(padded, M, config))

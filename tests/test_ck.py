@@ -89,14 +89,6 @@ def test_matrix_d_constant_matrices():
             assert np.allclose(matrix_d(p, k, stack), 0.0)
 
 
-def test_matrix_d_rejects_bad_indices():
-    stack = random_stack()
-    with pytest.raises(ValueError):
-        matrix_d(1, 1, stack)
-    with pytest.raises(ValueError):
-        matrix_d(3, 4, stack)
-
-
 def zero_probe(m, max_order):
     probe = NodeDerivativeStack(Q=np.zeros(m), A=np.zeros((m, m)),
                                 B=np.zeros((m, m)), S=np.zeros(m))

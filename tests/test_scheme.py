@@ -1,8 +1,10 @@
 """Finite-volume update: fluxes, source quadrature, CFL, marching loop."""
 import dataclasses
+import inspect
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -13,9 +15,9 @@ import numpy as np
 import pytest
 
 import aderfv
-from aderfv import cli, predictor, scheme
+from aderfv import ck, cli, predictor, scheme
 from aderfv.harness import build_config, make_case
-from aderfv.nodes import build_grid, newton_cotes_weights
+from aderfv.nodes import SUPPORTED_M, build_grid, newton_cotes_weights
 from aderfv.predictor import (PredictorConfig, PredictorError,
                               predictor_solve, residual_and_jacobian)
 from aderfv.scheme import (RunConfig, SchemeError, cell_source, cfl_timestep,
@@ -209,6 +211,20 @@ def test_run_config_validation():
     for n_threads in (0, -1):
         with pytest.raises(ValueError, match="thread"):
             make_config(system, init, 3, 16, n_threads=n_threads)
+    # refused here rather than deep inside run (a reflective boundary, a
+    # float count), or silently run as another value (True is order 2)
+    with pytest.raises(ValueError, match="boundary"):
+        make_config(system, init, 3, 16, boundary="reflective")
+    for bad in ({"M": 2.0}, {"M": True}, {"n_cells": 16.0},
+                {"n_cells": True}, {"n_threads": 1.0}, {"n_threads": True}):
+        kw = {"M": 2, "n_cells": 16, **bad}
+        with pytest.raises(ValueError, match="must be ints"):
+            RunConfig(system=system, initial=init, x_left=0.0, x_right=1.0,
+                      t_out=1.0, **kw)
+    # numpy integers are integers
+    config = make_config(system, init, np.int64(3), np.int64(16),
+                         n_threads=np.int32(1))
+    assert config.M == 2 and config.n_cells == 16
 
 
 def test_import_loads_no_thread_pool():
@@ -220,6 +236,79 @@ def test_import_loads_no_thread_pool():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "False"
+
+
+RUN_SURFACE = {
+    "run", "RunConfig", "RunResult", "StepStats",
+    "SchemeError", "PredictorError", "InadmissibleStateError", "RootFindError",
+    "CellField", "WenoConfig", "PredictorConfig",
+    "HyperbolicSystem", "linear_system", "nonlinear_system",
+    "leveque_yee_system", "euler_system",
+    "PresetCase", "make_case", "build_config", "convergence_study",
+    "ConvergenceReport", "error_norms", "field_interpolant",
+    "shu_osher_reference",
+}
+
+
+def test_package_exports_only_the_run_surface():
+    """``aderfv`` exports the run surface and its submodules, nothing else,
+    and every name perfbench reads off the package is among them."""
+    modules = {name for name, value in vars(aderfv).items()
+               if inspect.ismodule(value)}
+    exported = {name for name in vars(aderfv)
+                if not name.startswith("_")} - modules
+    assert exported == RUN_SURFACE
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    text = "".join(path.read_text() for path in sorted(bench.glob("*.py")))
+    read = set(re.findall(r"\baderfv\.([A-Za-z]\w*)", text)) - modules
+    assert read >= {"run", "RunConfig", "RunResult", "CellField",
+                    "error_norms", "SchemeError", "PredictorError",
+                    "InadmissibleStateError"}
+    assert read <= RUN_SURFACE
+
+
+def test_solver_calls_stay_inside_the_layer_contracts(monkeypatch):
+    """The layers below ``RunConfig`` do not re-check their inputs.  Runs at
+    orders 2-5, with a source (leveque-yee) and without (euler-smooth),
+    call them only inside the ranges their docstrings state: 1 <= l <= M
+    in space, 1 <= l < n_T in time, and the index, degree, scale and
+    padding ranges of matrix_d, build_grid, reconstruct_padded and
+    ReconstructionSet.evaluate."""
+    called = set()
+
+    def spy(owner, name, within):
+        inner = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            key = f"{owner.__name__}.{name}"
+            called.add(key)
+            assert within(*args, **kwargs), key
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    in_space = lambda values, l, grid, axis=0: 1 <= l <= grid.M  # noqa: E731
+    in_time = lambda values, l, grid, axis=0: 1 <= l < grid.n_time  # noqa: E731
+    spy(predictor, "space_derivative", in_space)
+    spy(predictor, "time_derivative", in_time)
+    spy(ck, "time_derivative", in_time)
+    spy(ck, "matrix_d", lambda l, k, stack: l >= 2 and 1 <= k <= l)
+    spy(scheme, "build_grid",
+        lambda M, dx, dt: M in SUPPORTED_M and dx > 0.0 and dt > 0.0)
+    spy(scheme, "reconstruct_padded",
+        lambda avg, M, config=None: M in SUPPORTED_M and len(avg) > 2 * M)
+    spy(ReconstructionSet, "evaluate", lambda self, xi, l=0: l >= 0)
+    for name, cells, t_out in (("leveque-yee", 24, 0.03),
+                               ("euler-smooth", 16, 0.05)):
+        for order in (2, 3, 4, 5):
+            run(build_config(make_case(name), order, cells=cells,
+                             t_out=t_out))
+    assert called == {"aderfv.predictor.space_derivative",
+                          "aderfv.predictor.time_derivative",
+                          "aderfv.ck.time_derivative", "aderfv.ck.matrix_d",
+                          "aderfv.scheme.build_grid",
+                          "aderfv.scheme.reconstruct_padded",
+                          "ReconstructionSet.evaluate"}
 
 
 def test_project_initial_gauss_accuracy():

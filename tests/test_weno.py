@@ -29,6 +29,10 @@ def test_cellfield_validation():
         CellField(4, 0.1, 0.0, np.zeros((4, 1)), boundary="reflecting")
     with pytest.raises(ValueError):
         CellField(4, 0.1, 0.0, np.zeros((5, 1)))
+    for n_cells in (16.0, True, "16"):
+        with pytest.raises(ValueError, match="integer"):
+            CellField(n_cells, 0.1, 0.0, np.zeros((16, 1)))
+    assert CellField(np.int64(4), 0.1, 0.0, np.zeros((4, 1))).n_cells == 4
 
 
 def test_cellfield_ghost_rules():
@@ -191,9 +195,13 @@ def test_evaluate_matches_literal_basis_sum(M, m):
 
 
 def test_reconstruct_rejects_unsupported_degree():
+    """The edge of error_norms and field_interpolant: True is not degree 1,
+    and 2.0 is refused rather than failing as an index."""
     field = CellField(8, 0.125, 0.0, np.zeros((8, 1)))
-    with pytest.raises(ValueError):
-        reconstruct(field, 5)
+    for M in (5, 0, True, 2.0):
+        with pytest.raises(ValueError, match="degree"):
+            reconstruct(field, M)
+    assert reconstruct(field, np.int64(2)).M == 2
 
 
 def test_weights_prefer_smooth_sided_stencil_at_jump():
